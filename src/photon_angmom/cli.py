@@ -367,12 +367,16 @@ def cmd_synth(cfg: dict) -> int:
     grid_spec = parse_grid(cfg)
     mode_spec = parse_mode(cfg)
     lattice = parse_lattice(cfg)
+    if len(lattice.times) != 1:
+        raise ConfigError(
+            "synth writes one snapshot: lattice.times must hold exactly one "
+            f"time, got {len(lattice.times)}"
+        )
     outputs = parse_outputs(cfg, {"fields"}, "synth")
     if not outputs:
         raise ConfigError("synth requires a non-empty 'outputs' list")
     v = _build_checked_mode(grid_spec, mode_spec, tolerances)
-    # field dumps are taken at the first sample time of the lattice
-    time = lattice.times[0] if lattice.times else 0.0
+    time = lattice.times[0]
     try:
         snapshot = synthesize_fields(v, lattice, time=time)
     except ValueError as err:

@@ -11,12 +11,21 @@ sum, so B = curl A and the momentum/angular-momentum integrands carry no
 lattice differencing error; only the final x-integrals use the trapezoid
 rule over the lattice.
 
-The synthesis exploits the factorized phase e^{i k . x} =
-e^{i k_x x} e^{i k_y y} e^{i k_z z}: per chunk of wave-vector nodes the
-per-axis phase matrices combine through one complex matrix product that
-accumulates all fifteen field rows (A, E and the nine derivatives) at
-once.  Cost is O(n_sites * n_nodes), independent of the number of rows up
-to a small constant.
+Nodes come in rings: the n_phi contiguous nodes of one (k, theta) share
+omega = k and k_z, so the phase factors as e^{i (k_x x + k_y y)} times a
+per-ring e^{i (k_z z - omega t)}.  The synthesis evaluates the same sum in
+two stages over blocks of rings:
+
+    1. per ring, a phi-sum of A, i k_x A and i k_y A onto the (x, y) plane,
+       one batched matrix product (ny rows per channel) @ (n_phi, nx);
+    2. per block, matrix products of those planes with the rings as the
+       inner dimension: against P_z = e^{i (k_z z - omega t)} for d_x A and
+       d_y A, and against [P_z, i omega P_z, i k_z P_z] for A, E and d_z A.
+
+This only reorders the plane-wave sum.  Cost is O(n_nodes nx ny) for the
+first stage and O(n_rings nx ny nz) for the second, against
+O(n_nodes nx ny nz) for the direct sum.  Ring blocks are sized from a fixed
+byte budget, so memory stays bounded by it plus the output.
 
 Real-space constants of motion evaluate the volume integrals
 
@@ -48,6 +57,7 @@ __all__ = [
     "real_space_com",
     "k_space_com",
     "com_convergence_shift",
+    "relative_com_difference",
     "divergence_residual",
     "export_fields",
     "export_slice",
@@ -157,8 +167,26 @@ class FieldSnapshot:
         )
 
 
+# Byte budget of the per-block buffers of synthesize_fields.
+_BLOCK_BYTES = 32 << 20
+
+
+def _phase(arg: np.ndarray) -> np.ndarray:
+    """e^{i arg}, with cos and sin written into the real and imaginary views."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _ring_block(n_phi: int, nx: int, ny: int) -> int:
+    """Rings per block: phases, weighted phases and planes within _BLOCK_BYTES."""
+    per_ring = 16 * (n_phi * (nx + 10 * ny) + 9 * nx * ny)
+    return max(1, _BLOCK_BYTES // per_ring)
+
+
 def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
-                      time: float = 0.0, chunk: int = 2048) -> FieldSnapshot:
+                      time: float = 0.0) -> FieldSnapshot:
     """Evaluate A, E and all d_a A_b on the lattice at one time."""
     grid = v.grid
     for j in range(3):
@@ -170,34 +198,49 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
             )
     ax, ay, az = (lattice.axis(j) for j in range(3))
     nx, ny, nz = lattice.shape
-    om = grid.k
-    kx, ky, kz = grid.kvec.T
-    base = grid.weights / (2.0 * np.pi * np.sqrt(om)) * np.exp(-1j * om * time)
+    n_k, n_theta, n_phi = grid.shape
+    n_rings = n_k * n_theta
+    kvec = grid.kvec.reshape(n_rings, n_phi, 3)
+    om = grid.k[::n_phi]                                      # constant on a ring
+    kz = kvec[:, 0, 2]                                        # constant on a ring
+    amp = (grid.weights / (2.0 * np.pi * np.sqrt(grid.k)))[:, None] * v.values
+    amp = amp.reshape(n_rings, n_phi, 3).transpose(0, 2, 1)    # (ring, component, phi)
 
-    rows = np.empty((15, grid.n_nodes), dtype=complex)
-    rows[0:3] = base * v.values.T                             # A
-    rows[3:6] = (1j * om) * rows[0:3]                         # E = d^0 A
-    for a, ka in enumerate((kx, ky, kz)):                     # dA[a, b]
-        rows[6 + 3 * a : 9 + 3 * a] = (1j * ka) * rows[0:3]
+    # rows (y, component, x); fa columns (A | E | d_z A, z), fk rows led by d_x | d_y
+    fa = np.zeros((ny * 3 * nx, 3 * nz), dtype=complex)
+    fk = np.zeros((2 * ny * 3 * nx, nz), dtype=complex)
+    block = min(n_rings, _ring_block(n_phi, nx, ny))
+    q = np.empty((block, 3, ny, 3, n_phi), dtype=complex)
+    g = np.empty((block, 9 * ny, nx), dtype=complex)
+    for lo in range(0, n_rings, block):
+        sl = slice(lo, lo + block)
+        kx = kvec[sl, :, 0]
+        ky = kvec[sl, :, 1]
+        a = amp[sl]                                           # (nb, 3, n_phi)
+        nb = len(a)
+        # stage 1: phi-sum of A, i k_x A and i k_y A onto the (x, y) plane
+        w = np.stack([a, (1j * kx)[:, None] * a, (1j * ky)[:, None] * a], axis=1)
+        py = _phase(ky[:, None, :] * ay[:, None])             # (nb, ny, n_phi)
+        np.multiply(py[:, None, :, None, :], w[:, :, None], out=q[:nb])
+        px = _phase(kx[:, :, None] * ax)                      # (nb, n_phi, nx)
+        np.matmul(q[:nb].reshape(nb, 9 * ny, n_phi), px, out=g[:nb])
+        planes = g[:nb].reshape(nb, 3, -1)
+        # stage 2: rings against e^{i (k_z z - omega t)}
+        pz = _phase(kz[sl, None] * az - om[sl, None] * time)  # (nb, nz)
+        rhs = np.concatenate(
+            [pz, (1j * om[sl, None]) * pz, (1j * kz[sl, None]) * pz], axis=1)
+        fa += planes[:, 0].T @ rhs
+        fk += planes[:, 1:].reshape(nb, -1).T @ pz
 
-    F = np.zeros((nx * ny, nz * 15), dtype=complex)
-    for lo in range(0, grid.n_nodes, chunk):
-        sl = slice(lo, min(lo + chunk, grid.n_nodes))
-        px = np.exp(1j * np.outer(ax, kx[sl]))
-        py = np.exp(1j * np.outer(ay, ky[sl]))
-        pz = np.exp(1j * np.outer(kz[sl], az))                # (C, nz)
-        pxy = (px[:, None, :] * py[None, :, :]).reshape(nx * ny, -1)
-        r = rows[:, sl]                                       # (15, C)
-        rhs = (pz[:, :, None] * r.T[:, None, :]).reshape(r.shape[1], nz * 15)
-        F += pxy @ rhs
-
-    cube = F.reshape(nx, ny, nz, 15)
+    cube = np.empty((nx, ny, nz, 5, 3), dtype=complex)        # A, E, d_x, d_y, d_z A
+    cube[..., [0, 1, 4], :] = fa.reshape(ny, 3, nx, 3, nz).transpose(2, 0, 4, 3, 1)
+    cube[..., 2:4, :] = fk.reshape(2, ny, 3, nx, nz).transpose(3, 1, 4, 0, 2)
     return FieldSnapshot(
         lattice=lattice,
         time=time,
-        A=cube[..., 0:3],
-        E=cube[..., 3:6],
-        dA=cube[..., 6:15].reshape(nx, ny, nz, 3, 3),
+        A=cube[..., 0, :],
+        E=cube[..., 1, :],
+        dA=cube[..., 2:5, :],
     )
 
 
@@ -249,6 +292,23 @@ def k_space_com(v: WaveFunction, l_max: int | None = None) -> dict:
     }
 
 
+_COM_KEYS = ("P0", "P", "J", "L", "S")
+
+
+def relative_com_difference(ref: dict, other: dict, scale: float) -> dict:
+    """Per constant of motion, max |ref - other| / max(|ref|, 1e-3 * scale).
+
+    The floor puts exactly-zero components of `ref` on the energy scale
+    `scale` (usually |P0|) instead of dividing by zero.
+    """
+    out = {}
+    for key in _COM_KEYS:
+        a = np.atleast_1d(ref[key]).astype(float)
+        b = np.atleast_1d(other[key]).astype(float)
+        out[key] = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-3 * scale)))
+    return out
+
+
 def com_convergence_shift(v: WaveFunction, lattice: SpaceTimeLattice,
                           time: float = 0.0, factor: float = 2.0) -> float:
     """Max relative COM shift when the box grows by `factor` at fixed spacing.
@@ -276,13 +336,7 @@ def com_convergence_shift(v: WaveFunction, lattice: SpaceTimeLattice,
     )
     other = real_space_com(synthesize_fields(v, big, time))
     scale = max(abs(base["P0"]), 1e-300)
-    worst = 0.0
-    for key in ("P0", "P", "J", "L", "S"):
-        a = np.atleast_1d(base[key]).astype(float)
-        b = np.atleast_1d(other[key]).astype(float)
-        worst = max(worst, float(np.max(
-            np.abs(a - b) / np.maximum(np.abs(a), 1e-3 * scale))))
-    return worst
+    return max(relative_com_difference(base, other, scale).values())
 
 
 def divergence_residual(snapshot: FieldSnapshot) -> float:

@@ -32,7 +32,13 @@ from .operators import (
     observable_report,
 )
 from .polarization import eps_minus, eps_plus
-from .synthesis import SpaceTimeLattice, k_space_com, real_space_com, synthesize_fields
+from .synthesis import (
+    SpaceTimeLattice,
+    k_space_com,
+    real_space_com,
+    relative_com_difference,
+    synthesize_fields,
+)
 from .vsh import VshExpansion, analyze, synthesize, vsh_pair
 from .wavefunction import WaveFunction, inner_product, norm, normalize, random_state
 
@@ -327,20 +333,13 @@ def com_crosscheck_suite():
         times = (0.0, 0.25 * period, 0.5 * period)
         coms = [real_space_com(synthesize_fields(v, lattice, time=t)) for t in times]
 
-        for key in ("P0", "P", "J", "L", "S"):
-            a = np.atleast_1d(ks[key]).astype(float)
-            b = np.atleast_1d(coms[0][key]).astype(float)
-            rel = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-3 * scale))
+        for key, rel in relative_com_difference(ks, coms[0], scale).items():
             rows.append(_row(f"{key}_realspace_vs_kspace[{name}]", rel, 1e-6))
 
-        drift = 0.0
-        base = coms[0]
-        for later in coms[1:]:
-            for key in ("P0", "P", "J", "L", "S"):
-                a = np.atleast_1d(base[key]).astype(float)
-                b = np.atleast_1d(later[key]).astype(float)
-                drift = max(drift, np.max(
-                    np.abs(a - b) / np.maximum(np.abs(a), 1e-3 * scale)))
+        drift = max(
+            max(relative_com_difference(coms[0], later, scale).values())
+            for later in coms[1:]
+        )
         rows.append(_row(f"time_invariance[{name}]", drift, 1e-8))
     return rows
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from photon_angmom.cli import main
 
@@ -243,6 +244,15 @@ def test_synth_empty_outputs_is_config_error(tmp_path, capsys):
     cfg = synth_config(tmp_path, out)
     assert main(["synth", "--config", str(cfg), "--outputs=[]"]) == 2
     assert "outputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", [[], [0.0, 1.0]], ids=["empty", "two"])
+def test_synth_needs_exactly_one_time(tmp_path, capsys, times):
+    out = tmp_path / "fields.bin"
+    cfg = synth_config(tmp_path, out, times=times)
+    assert main(["synth", "--config", str(cfg)]) == 2
+    assert "lattice.times" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_aliasing_is_numerical_error(tmp_path, capsys):

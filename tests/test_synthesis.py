@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from photon_angmom import synthesis
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.synthesis import (
@@ -29,7 +30,7 @@ def tiny_setup():
 
 
 def direct_fields(v, lattice, time):
-    # brute-force triple loop; the oracle for the factorized-phase path
+    # brute-force triple loop; the oracle for the ring-factorized two-stage sum
     g = v.grid
     om = g.k
     coef = g.weights / (2.0 * np.pi * np.sqrt(om)) * np.exp(-1j * om * time)
@@ -90,7 +91,7 @@ def test_cube_lattice_default_side():
 def test_synthesis_matches_direct_sum():
     _, v, lattice = tiny_setup()
     for time in (0.0, 0.3):
-        snap = synthesize_fields(v, lattice, time=time, chunk=7)
+        snap = synthesize_fields(v, lattice, time=time)
         A, E, dA = direct_fields(v, lattice, time)
         np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
         np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
@@ -104,6 +105,22 @@ def test_synthesis_matches_direct_sum():
             axis=-1,
         )
         np.testing.assert_allclose(snap.B, curl, atol=1e-13 * np.abs(curl).max())
+
+
+def test_synthesis_matches_direct_sum_across_ring_blocks(monkeypatch):
+    # a small budget splits the 150 rings into several blocks, the last partial
+    grid = build_grid(GridSpec(n_k=3, k_min=0.7, k_max=1.3, n_theta=50, n_phi=7))
+    v = random_state(grid, seed=5)
+    lattice = SpaceTimeLattice(origin=(-1.2, -0.7, -0.9), extents=(2.3, 1.4, 1.9),
+                               n_x=5, n_y=4, n_z=3)
+    monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 150 * 1024)
+    block = synthesis._ring_block(7, lattice.n_x, lattice.n_y)
+    assert 3 * block < 150 and 150 % block != 0
+    snap = synthesize_fields(v, lattice, time=0.7)
+    A, E, dA = direct_fields(v, lattice, 0.7)
+    np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
+    np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
+    np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
 
 
 def test_electric_field_is_time_derivative():
