@@ -34,7 +34,7 @@ import json
 import sys
 
 from . import __version__
-from .grid import GridSpec, build_grid
+from .grid import GridSpec, build_grid, strict_int
 from .modes import ModeSpec, build_mode
 from .operators import observable_report
 from .synthesis import (
@@ -257,7 +257,10 @@ def _expansion_l_max(grid_spec: GridSpec, entry: dict) -> int:
         # default: the largest band the grid resolves, capped
         fits = min(grid_spec.n_theta - 1, (grid_spec.n_phi - 1) // 2)
         return max(1, min(DEFAULT_EXPANSION_L_MAX, fits))
-    l_max = int(raw)
+    try:
+        l_max = strict_int(raw, "l_max")
+    except ValueError as err:
+        raise ConfigError(f"output: {err}") from None
     if (l_max < 1 or grid_spec.n_theta < l_max + 1
             or grid_spec.n_phi < 2 * l_max + 1):
         raise ConfigError(
@@ -376,13 +379,12 @@ def cmd_synth(cfg: dict) -> int:
     if not outputs:
         raise ConfigError("synth requires a non-empty 'outputs' list")
     v = _build_checked_mode(grid_spec, mode_spec, tolerances)
-    time = lattice.times[0]
     try:
-        snapshot = synthesize_fields(v, lattice, time=time)
+        snapshot = synthesize_fields(v, lattice, time=lattice.times[0])
     except ValueError as err:
         raise NumericalError(str(err)) from None
     if "com_convergence_shift" in tolerances:
-        shift = com_convergence_shift(v, lattice, time=time)
+        shift = com_convergence_shift(v, snapshot)
         if shift > tolerances["com_convergence_shift"]:
             raise NumericalError(
                 f"constants of motion shift by {shift:.3e} under box growth "

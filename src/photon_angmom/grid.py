@@ -12,6 +12,7 @@ Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,21 @@ __all__ = [
     "build_grid",
     "integrate",
     "angular_integrate",
+    "strict_int",
 ]
+
+
+def strict_int(value, key: str) -> int:
+    """An integer config value: an int or an integral float.
+
+    Bools, fractions and strings raise a ValueError naming `key`, where
+    int() would read them or truncate them silently.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +86,11 @@ class GridSpec:
     def from_dict(cls, d):
         try:
             return cls(
-                n_k=int(d["n_k"]),
+                n_k=strict_int(d["n_k"], "n_k"),
                 k_min=float(d["k_min"]),
                 k_max=float(d["k_max"]),
-                n_theta=int(d["n_theta"]),
-                n_phi=int(d["n_phi"]),
+                n_theta=strict_int(d["n_theta"], "n_theta"),
+                n_phi=strict_int(d["n_phi"], "n_phi"),
             )
         except KeyError as err:
             raise KeyError(f"grid spec missing key {err.args[0]!r}") from None

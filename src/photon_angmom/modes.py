@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .grid import WaveVectorGrid
+from .grid import WaveVectorGrid, strict_int
 from .polarization import eps_plus, helicity_basis
-from .wavefunction import WaveFunction, normalize
+from .wavefunction import WaveFunction, normalize, project_transverse
 
 __all__ = [
     "ModeSpec",
@@ -86,6 +86,11 @@ class ModeSpec:
     carrier: str = "helicity"
 
     def __post_init__(self):
+        for key in ("radial_profile", "theta_profile"):
+            if not isinstance(getattr(self, key), dict):
+                raise ValueError(
+                    f"{key!r} must be an object, got {getattr(self, key)!r}"
+                )
         if self.kind not in _KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.w not in (1, -1):
@@ -147,7 +152,7 @@ class ModeSpec:
         kwargs["kind"] = str(kwargs["kind"])
         for intkey in ("m", "w", "p"):
             if intkey in kwargs:
-                kwargs[intkey] = int(kwargs[intkey])
+                kwargs[intkey] = strict_int(kwargs[intkey], intkey)
         if "s_direction" in kwargs:
             kwargs["s_direction"] = tuple(float(c) for c in kwargs["s_direction"])
         return cls(**kwargs)
@@ -278,11 +283,8 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
         pol = ep if spec.w == 1 else em
         amp = np.einsum("nc,c->n", np.conj(pol), carrier_vec)
         vals = (g * kernel * amp)[:, None] * pol
-    else:
-        lon = grid.khat @ carrier_vec
-        proj = carrier_vec[None, :] - lon[:, None] * grid.khat
-        vals = (g * kernel)[:, None] * proj
-    return normalize(WaveFunction(grid, vals, check=False))
+        return normalize(WaveFunction(grid, vals, check=False))
+    return normalize(project_transverse(grid, (g * kernel)[:, None] * carrier_vec))
 
 
 def scalar_lg(m: int, p: int, w0: float, rho, phi):

@@ -15,7 +15,7 @@ Three kinds of action coexist:
 
 * the spectral route for J (and through it L = J - S): Y^(a)_lm are exact
   J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m and
-  J+- shift m with the ladder factors sqrt(l(l+1) - m(m +- 1)); exact up
+  J+- shift m with the ladder factors of `vsh.ladder`; exact up
   to the truncation l_max of the expansion,
 
 * an exact azimuthal route for J3 alone: J3 = -i d/dphi + Sigma3 acting
@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import WaveVectorGrid
 from .polarization import sigma3
-from .vsh import VshExpansion, analyze, synthesize
+from .vsh import VshExpansion, analyze, ladder, synthesize
 from .wavefunction import WaveFunction, inner_product, norm
 
 __all__ = [
@@ -78,9 +78,7 @@ def apply_W(v: WaveFunction) -> WaveFunction:
 
 def _ladder_shift(e: VshExpansion, sign: int) -> VshExpansion:
     """J_+ (sign=+1) or J_- (sign=-1) in coefficient space: window shifts by sign."""
-    ls = np.arange(e.l_max + 1, dtype=float)[:, None]
-    ms = e.m_values[None, :].astype(float)
-    fac = np.sqrt(np.maximum(0.0, ls * (ls + 1.0) - ms * (ms + sign)))
+    fac = ladder(np.arange(e.l_max + 1)[:, None], e.m_values[None, :], sign)
     return VshExpansion(
         e.grid, e.l_max, e.m_min + sign, e.m_max + sign,
         e.coeffs * fac[None, None, :, :],

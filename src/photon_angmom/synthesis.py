@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import strict_int
 from .operators import observable_report
 from .wavefunction import WaveFunction, norm
 
@@ -124,9 +125,9 @@ class SpaceTimeLattice:
             return cls(
                 origin=tuple(d["origin"]),
                 extents=tuple(d["extents"]),
-                n_x=int(d["n_x"]),
-                n_y=int(d["n_y"]),
-                n_z=int(d["n_z"]),
+                n_x=strict_int(d["n_x"], "n_x"),
+                n_y=strict_int(d["n_y"], "n_y"),
+                n_z=strict_int(d["n_z"], "n_z"),
                 times=tuple(d.get("times", (0.0,))),
             )
         except KeyError as err:
@@ -309,9 +310,10 @@ def relative_com_difference(ref: dict, other: dict, scale: float) -> dict:
     return out
 
 
-def com_convergence_shift(v: WaveFunction, lattice: SpaceTimeLattice,
-                          time: float = 0.0, factor: float = 2.0) -> float:
-    """Max relative COM shift when the box grows by `factor` at fixed spacing.
+def com_convergence_shift(v: WaveFunction, base: FieldSnapshot,
+                          factor: float = 2.0) -> float:
+    """Max relative COM shift of v's snapshot `base` when its box grows by
+    `factor` at fixed spacing, center and time.
 
     A localized state on a converged lattice gives a small shift; a value
     above the target tolerance flags an undersized box or a state whose
@@ -319,7 +321,7 @@ def com_convergence_shift(v: WaveFunction, lattice: SpaceTimeLattice,
     """
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
-    base = real_space_com(synthesize_fields(v, lattice, time))
+    lattice = base.lattice
     center = tuple(
         lattice.origin[j] + 0.5 * lattice.extents[j] for j in range(3)
     )
@@ -334,9 +336,10 @@ def com_convergence_shift(v: WaveFunction, lattice: SpaceTimeLattice,
         extents=ext_big, n_x=n_big[0], n_y=n_big[1], n_z=n_big[2],
         times=lattice.times,
     )
-    other = real_space_com(synthesize_fields(v, big, time))
-    scale = max(abs(base["P0"]), 1e-300)
-    return max(relative_com_difference(base, other, scale).values())
+    ref = real_space_com(base)
+    other = real_space_com(synthesize_fields(v, big, base.time))
+    scale = max(abs(ref["P0"]), 1e-300)
+    return max(relative_com_difference(ref, other, scale).values())
 
 
 def divergence_residual(snapshot: FieldSnapshot) -> float:

@@ -10,10 +10,11 @@ The transverse vector harmonics are
     Y2_lm = khat x Y1_lm
 
 with l >= 1.  Y1 is evaluated through ladder-operator closed forms: with
-c_pm(l, m) = sqrt(l(l+1) - m(m +- 1)) and N = sqrt(l(l+1)),
+the ladder factors c_pm(l, m) = sqrt(l(l+1) - m(m +- 1)) (`ladder`) and
+N = sqrt(l(l+1)), its channels (Y1)_+- = (Y1)_x +- i (Y1)_y and (Y1)_z are
 
-    (Y1)_x = (c_plus Y_{l,m+1} + c_minus Y_{l,m-1}) / (2 N)
-    (Y1)_y = (c_plus Y_{l,m+1} - c_minus Y_{l,m-1}) / (2i N)
+    (Y1)_+ = c_plus Y_{l,m+1} / N
+    (Y1)_- = c_minus Y_{l,m-1} / N
     (Y1)_z = m Y_lm / N
 
 so no numerical differentiation appears anywhere.  Together the two
@@ -21,9 +22,21 @@ families form a complete orthonormal basis of the transverse subspace at
 each point of the sphere.
 
 Transforms (`analyze` / `synthesize`) map between grid samples and
-coefficient tables over (a, l, m) with one radial profile per entry.  The
-azimuthal part is handled by FFT and the polar part by Gauss-Legendre
-sums, both exact for bandlimited content.
+coefficient tables over (a, l, m) with one radial profile per entry.  Each
+channel of Y1_lm is a single azimuthal harmonic, e^{i(m+1)phi},
+e^{i(m-1)phi} and e^{i m phi}, so the azimuthal part is one FFT of the
+three channels of both families (the second family reads v x khat), and
+the polar part is one contraction per order m: a (3, l_max+1, n_theta)
+table of ladder-weighted Legendre rows against the FFT bins m+1, m-1 and
+m of the three channels.  In the channels the pointwise inner product is
+
+    conj(u) . v = (conj(u_+) v_+ + conj(u_-) v_-) / 2 + conj(u_z) v_z,
+
+which puts a metric of 1/2 on the +- channels of the analysis.  Synthesis
+is the transpose; it adds the orders into the bins one at a time, so
+orders that alias onto one bin of a coarse azimuthal grid still add.  The
+azimuthal FFT and the polar Gauss-Legendre sums are exact for
+bandlimited content.
 """
 
 from __future__ import annotations
@@ -40,13 +53,19 @@ __all__ = [
     "analyze",
     "synthesize",
     "legendre_normalized",
+    "ladder",
 ]
 
 
-def _ladder(l, m, sign):
-    """sqrt(l(l+1) - m(m+sign)) for sign = +-1; zero when the shift leaves |m|<=l."""
-    val = l * (l + 1) - m * (m + sign)
-    return np.sqrt(val) if val > 0 else 0.0
+def ladder(l, m, sign):
+    """Ladder factor sqrt(l(l+1) - m(m + sign)) for sign = +-1, elementwise.
+
+    J_+- Y_lm = ladder(l, m, +-1) Y_{l,m+-1}; the factor is zero where
+    m + sign leaves |m| <= l.
+    """
+    l = np.asarray(l, dtype=float)
+    m = np.asarray(m, dtype=float)
+    return np.sqrt(np.maximum(0.0, l * (l + 1.0) - m * (m + sign)))
 
 
 def legendre_normalized(l_max: int, x):
@@ -87,14 +106,44 @@ def _legendre_cached(grid: WaveVectorGrid, l_max: int):
     return entry[1]
 
 
-def _assoc_at(table, l, m):
-    """Signed-m lookup: Y_{l,m} = _assoc_at(...) * e^{i m phi}; zero if |m| > l."""
-    if abs(m) > l:
-        return None
-    if m >= 0:
-        return table[l, m]
-    # Y_{l,-m} = (-1)^m conj(Y_{l,m}) transfers to the real prefactor
-    return table[l, -m] if m % 2 == 0 else -table[l, -m]
+def _signed_rows(table, mu):
+    """Real rows P[:, mu] of the signed orders mu, stacked first.
+
+    Y_{l,mu} = P[l, mu] e^{i mu phi}; Y_{l,-mu} = (-1)^mu conj(Y_{l,mu}) puts
+    the sign of a negative order on the table row of |mu|.
+    """
+    mu = np.asarray(mu)
+    sign = np.where((mu < 0) & (mu % 2 == 1), -1.0, 1.0)
+    rows = np.moveaxis(table[:, np.abs(mu)], 1, 0)
+    return rows * sign.reshape(sign.shape + (1,) * (rows.ndim - 1))
+
+
+def _channel_orders(m: int):
+    """Azimuthal orders (m+1, m-1, m) of the x+iy, x-iy and z channels of Y1_lm."""
+    return np.array([m + 1, m - 1, m])
+
+
+def _order_rows(table, l_max: int, m: int):
+    """Ladder-weighted Legendre rows of Y1_lm, l = 0..l_max: (3, l_max+1, ...).
+
+    Rows 0, 1 and 2 are the x+iy, x-iy and z channels of Y1_lm without
+    their phases e^{i mu phi}, mu = _channel_orders(m).  The table must hold
+    orders up to |m| + 1: the x+-iy rows of |m| = l_max read order
+    l_max + 1, with a zero ladder factor.
+    """
+    l = np.arange(l_max + 1.0)
+    inv_n = np.zeros_like(l)
+    inv_n[1:] = 1.0 / np.sqrt(l[1:] * (l[1:] + 1.0))
+    weight = inv_n * np.stack([ladder(l, m, +1), ladder(l, m, -1), np.full_like(l, m)])
+    rows = _signed_rows(table[: l_max + 1], _channel_orders(m))
+    return rows * weight.reshape(weight.shape + (1,) * (rows.ndim - 2))
+
+
+# Cartesian (x, y, z) to the channels (x+iy, x-iy, z), and back
+_TO_CHANNELS = np.array([[1.0, 1.0j, 0.0], [1.0, -1.0j, 0.0], [0.0, 0.0, 1.0]])
+_FROM_CHANNELS = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
+# pairs with the bins of _channel_orders(m) to pick one bin per channel
+_CHANNEL = np.arange(3)
 
 
 def scalar_ylm(l: int, m: int, theta, phi):
@@ -104,7 +153,7 @@ def scalar_ylm(l: int, m: int, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     table = legendre_normalized(l, np.cos(theta))
-    return _assoc_at(table, l, m) * np.exp(1j * m * phi)
+    return _signed_rows(table, [m])[0, l] * np.exp(1j * m * phi)
 
 
 def vsh_pair(l: int, m: int, theta, phi):
@@ -116,23 +165,10 @@ def vsh_pair(l: int, m: int, theta, phi):
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    table = legendre_normalized(l, np.cos(theta))
-    invn = 1.0 / np.sqrt(l * (l + 1.0))
-    cp = _ladder(l, m, +1)
-    cm = _ladder(l, m, -1)
-
-    def term(mu, amp):
-        q = _assoc_at(table, l, mu)
-        if q is None or amp == 0.0:
-            return np.zeros(theta.shape, dtype=complex)
-        return amp * q * np.exp(1j * mu * phi)
-
-    up = term(m + 1, cp)  # raises m, multiplies e^{i(m+1)phi}
-    dn = term(m - 1, cm)
-    zc = term(m, float(m))
-    y1 = np.stack(
-        [0.5 * (up + dn) * invn, -0.5j * (up - dn) * invn, zc * invn], axis=-1
-    )
+    table = legendre_normalized(l + 1, np.cos(theta))
+    rows = _order_rows(table, l, m)[:, l]
+    mu = _channel_orders(m).reshape((3,) + (1,) * phi.ndim)
+    y1 = np.moveaxis(rows * np.exp(1j * mu * phi), 0, -1) @ _FROM_CHANNELS.T
     st = np.sin(theta)
     khat = np.stack(
         [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1
@@ -256,16 +292,6 @@ class VshExpansion:
         return rows
 
 
-def _azimuthal_moments(grid, values):
-    """Azimuthal integrals F_mu = int dphi e^{-i mu phi} g per (k, theta) line.
-
-    Returns the FFT array (n_k, n_theta, n_phi, ...) scaled by 2 pi / n_phi;
-    the bin for signed order mu is mu % n_phi.
-    """
-    cube = values.reshape(grid.shape + values.shape[1:])
-    return np.fft.fft(cube, axis=2) * (2.0 * np.pi / grid.spec.n_phi)
-
-
 def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     """Project grid samples onto the vector harmonics up to l_max.
 
@@ -297,42 +323,25 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
         if m_min > m_max or m_min < -l_max or m_max > l_max:
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
-    table = _legendre_cached(grid, l_max)
-    n_phi = spec.n_phi
-    vals = v.values.reshape(grid.shape + (3,))
-    fp = _azimuthal_moments(grid, (vals[..., 0] + 1j * vals[..., 1]).reshape(-1))
-    fm = _azimuthal_moments(grid, (vals[..., 0] - 1j * vals[..., 1]).reshape(-1))
-    fz = _azimuthal_moments(grid, vals[..., 2].reshape(-1))
-    # second family reads the rotated field v x khat
-    cross = np.cross(v.values, grid.khat.astype(complex)).reshape(grid.shape + (3,))
-    gp = _azimuthal_moments(grid, (cross[..., 0] + 1j * cross[..., 1]).reshape(-1))
-    gm = _azimuthal_moments(grid, (cross[..., 0] - 1j * cross[..., 1]).reshape(-1))
-    gz = _azimuthal_moments(grid, cross[..., 2].reshape(-1))
-
-    wt = grid.x_weights
+    table = _legendre_cached(grid, l_max + 1)
+    n_k, n_theta, n_phi = grid.shape
+    # channels of v and, for the second family, of the rotated field v x khat
+    chans = np.empty((3, 2, grid.n_nodes), dtype=complex)
+    np.matmul(_TO_CHANNELS, v.values.T, out=chans[:, 0])
+    np.matmul(_TO_CHANNELS, np.cross(v.values, grid.khat).T, out=chans[:, 1])
+    # moments[c, family, k, theta, mu] = sum_phi e^{-i mu phi} channel c
+    moments = np.fft.fft(chans.reshape(3, 2, n_k, n_theta, n_phi), axis=-1)
+    del chans  # each buffer is six samples per node; hold two at most
+    # phi and polar quadrature, with the metric
+    # conj(Y1).v = (conj(Y1+) v+ + conj(Y1-) v-) / 2 + conj(Y1z) vz
+    metric = np.array([0.5, 0.5, 1.0])[:, None, None]
+    quad = metric * (2.0 * np.pi / n_phi) * grid.x_weights
     out = VshExpansion.zero(grid, l_max, m_min, m_max)
-
-    def polar_dot(q, moments, mu):
-        # sum over theta of w_th q(x_th) F_mu -> per radial node
-        return (moments[:, :, mu % n_phi] * (wt * q)[None, :]).sum(axis=1)
-
-    for l in range(1, l_max + 1):
-        invn = 1.0 / np.sqrt(l * (l + 1.0))
-        for m in range(max(-l, m_min), min(l, m_max) + 1):
-            cp = _ladder(l, m, +1)
-            cm = _ladder(l, m, -1)
-            qp = _assoc_at(table, l, m + 1)
-            qm = _assoc_at(table, l, m - 1)
-            qz = _assoc_at(table, l, m)
-            for fam, (hp, hm, hz) in enumerate(((fp, fm, fz), (gp, gm, gz))):
-                acc = np.zeros(spec.n_k, dtype=complex)
-                if qp is not None and cp != 0.0:
-                    acc += 0.5 * cp * polar_dot(qp, hp, m + 1)
-                if qm is not None and cm != 0.0:
-                    acc += 0.5 * cm * polar_dot(qm, hm, m - 1)
-                if m != 0:
-                    acc += m * polar_dot(qz, hz, m)
-                out.coeffs[fam, :, l, m - m_min] = invn * acc
+    for m in range(m_min, m_max + 1):
+        picked = moments[_CHANNEL, :, :, :, _channel_orders(m) % n_phi]
+        rows = quad * _order_rows(table, l_max, m)
+        coeffs = picked.reshape(3, 2 * n_k, n_theta) @ rows.transpose(0, 2, 1)
+        out.coeffs[..., m - m_min] = coeffs.sum(axis=0).reshape(2, n_k, l_max + 1)
     return out
 
 
@@ -342,48 +351,23 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
         grid = e.grid
     elif grid.spec != e.grid.spec:
         raise ValueError("expansion was built on an incompatible grid")
-    spec = grid.spec
-    n_phi = spec.n_phi
-    table = _legendre_cached(grid, e.l_max)
-
-    # channel accumulators per family: (n_k, n_theta, azimuthal bin)
-    shape = (spec.n_k, spec.n_theta, n_phi)
-    chans = {
-        fam: [np.zeros(shape, dtype=complex) for _ in range(3)] for fam in (0, 1)
-    }
-    for l in range(1, e.l_max + 1):
-        invn = 1.0 / np.sqrt(l * (l + 1.0))
-        for m in range(max(-l, e.m_min), min(l, e.m_max) + 1):
-            cp = _ladder(l, m, +1)
-            cm = _ladder(l, m, -1)
-            qp = _assoc_at(table, l, m + 1)
-            qm = _assoc_at(table, l, m - 1)
-            qz = _assoc_at(table, l, m)
-            for fam in (0, 1):
-                rad = e.coeffs[fam, :, l, m - e.m_min]
-                if np.all(rad == 0.0):
-                    continue
-                plus, minus, zc = chans[fam]
-                block = invn * rad[:, None]
-                if qp is not None and cp != 0.0:
-                    plus[:, :, (m + 1) % n_phi] += cp * block * qp[None, :]
-                if qm is not None and cm != 0.0:
-                    minus[:, :, (m - 1) % n_phi] += cm * block * qm[None, :]
-                if m != 0:
-                    zc[:, :, m % n_phi] += m * block * qz[None, :]
-
-    def assemble(fam):
-        plus, minus, zc = chans[fam]
-        # bins hold e^{i mu phi} amplitudes; inverse FFT evaluates at the nodes
-        p = np.fft.ifft(plus, axis=2) * n_phi
-        q = np.fft.ifft(minus, axis=2) * n_phi
-        z = np.fft.ifft(zc, axis=2) * n_phi
-        vx = 0.5 * (p + q)
-        vy = -0.5j * (p - q)
-        return np.stack([vx, vy, z], axis=-1).reshape(-1, 3)
-
-    vals = assemble(0)
-    w2 = assemble(1)
-    if np.any(w2):
-        vals = vals + np.cross(grid.khat.astype(complex), w2)
-    return WaveFunction(grid, vals, check=False)
+    n_k, n_theta, n_phi = grid.shape
+    table = _legendre_cached(grid, e.l_max + 1)
+    coeffs = e.coeffs.reshape(2 * n_k, e.l_max + 1, -1)
+    # bins[c, family, k, theta, mu]: e^{i mu phi} amplitude of channel c.
+    # Orders are added one at a time, so orders that alias onto one bin of
+    # a coarse azimuthal grid add up.
+    bins = np.zeros((3, 2, n_k, n_theta, n_phi), dtype=complex)
+    # a shifted window (J+- of an expansion) may reach past |m| = l_max,
+    # where every slot is structurally zero
+    for m in range(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1):
+        amp = coeffs[:, :, m - e.m_min] @ _order_rows(table, e.l_max, m)
+        bins[_CHANNEL, :, :, :, _channel_orders(m) % n_phi] += amp.reshape(
+            3, 2, n_k, n_theta
+        )
+    # the inverse FFT evaluates the amplitudes at the azimuthal nodes
+    chans = np.fft.ifft(bins, axis=-1, norm="forward").reshape(3, 2, -1)
+    del bins  # each buffer is six samples per node; hold two at most
+    cart = _FROM_CHANNELS @ chans.reshape(3, -1)
+    first, second = cart.reshape(3, 2, -1).transpose(1, 2, 0)
+    return WaveFunction(grid, first + np.cross(grid.khat, second), check=False)

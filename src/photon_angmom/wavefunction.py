@@ -78,13 +78,8 @@ class WaveFunction:
             raise ValueError("wavefunctions live on different grids")
 
     def project_transverse(self):
-        """Remove longitudinal content by projecting onto the helicity plane."""
-        ep, em = _basis(self.grid)
-        cp = np.einsum("nc,nc->n", np.conj(ep), self.values)
-        cm = np.einsum("nc,nc->n", np.conj(em), self.values)
-        return WaveFunction(
-            self.grid, cp[:, None] * ep + cm[:, None] * em, check=False
-        )
+        """Remove longitudinal content: the module-level `project_transverse`."""
+        return project_transverse(self.grid, self.values)
 
     def helicity_components(self):
         """Complex amplitudes (c_plus, c_minus) in the local helicity basis."""

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from photon_angmom import cli, synthesis
 from photon_angmom.cli import main
 
 
@@ -150,19 +151,38 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
     assert "--key=value" in capsys.readouterr().err
 
 
-def test_config_errors_name_the_offending_key(tmp_path, capsys):
-    bad_grid = write_config(tmp_path, grid={"n_k": 6, "k_min": 0.5, "k_max": 1.5,
-                                            "n_theta": 20})
-    assert main(["mode", "--config", str(bad_grid)]) == 2
-    assert "n_phi" in capsys.readouterr().err
-
-    cfg = write_config(tmp_path)
-    assert main(["mode", "--config", str(cfg), "--mode.bogus=1"]) == 2
-    assert "bogus" in capsys.readouterr().err
-
-    typo = write_config(tmp_path, gird={"n_k": 6})
-    assert main(["mode", "--config", str(typo)]) == 2
-    assert "gird" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, extra, overrides, key",
+    [
+        ("mode", {"grid": {"n_k": 6, "k_min": 0.5, "k_max": 1.5, "n_theta": 20}},
+         [], "n_phi"),
+        ("mode", {}, ["--mode.bogus=1"], "bogus"),
+        ("mode", {"gird": {"n_k": 6}}, [], "gird"),
+        ("mode", {}, ["--mode.radial_profile=5"], "radial_profile"),
+        ("mode", {}, ["--mode.theta_profile=5"], "theta_profile"),
+        ("mode", {}, ["--mode.m=1.5"], "m"),
+        ("mode", {}, ["--grid.n_k=true"], "n_k"),
+        ("mode", {}, ["--grid.n_phi=\"12\""], "n_phi"),
+        ("mode", {"outputs": [{"kind": "expansion", "path": "e.json", "l_max": "abc"}]},
+         [], "l_max"),
+        ("mode", {"outputs": [{"kind": "expansion", "path": "e.json", "l_max": 1.5}]},
+         [], "l_max"),
+        ("synth", {}, ["--lattice.n_x=12.5"], "n_x"),
+    ],
+    ids=["missing", "unknown", "top-level-typo", "radial-not-object",
+         "theta-not-object", "fractional-m", "bool-n_k", "string-n_phi",
+         "string-l_max", "fractional-l_max", "fractional-n_x"],
+)
+def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
+                                              overrides, key):
+    if command == "synth":
+        cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    else:
+        cfg = write_config(tmp_path, **extra)
+    assert main([command, "--config", str(cfg)] + overrides) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
 
 
 def test_unparseable_config_file(tmp_path, capsys):
@@ -273,6 +293,25 @@ def test_synth_com_shift_gate(tmp_path, capsys):
     cfg.write_text(json.dumps(with_gate))
     assert main(["synth", "--config", str(cfg)]) == 3
     assert "shift" in capsys.readouterr().err
+
+
+def test_synth_gate_synthesizes_the_base_lattice_once(tmp_path, monkeypatch):
+    # the gate reuses the dumped snapshot: one call for it, one for the grown box
+    calls = []
+    real = synthesis.synthesize_fields
+
+    def counting(v, lattice, time=0.0):
+        calls.append(lattice.shape)
+        return real(v, lattice, time)
+
+    monkeypatch.setattr(synthesis, "synthesize_fields", counting)
+    monkeypatch.setattr(cli, "synthesize_fields", counting)
+    cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    gated = json.loads(cfg.read_text())
+    gated["tolerances"] = {"com_convergence_shift": 100.0}
+    cfg.write_text(json.dumps(gated))
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert calls == [(12, 12, 12), (23, 23, 23)]
 
 
 def test_missing_sections_and_help():

@@ -31,6 +31,10 @@ def test_spec_validation():
 def test_spec_roundtrip():
     spec = GridSpec(n_k=8, k_min=0.5, k_max=2.5, n_theta=6, n_phi=12)
     assert GridSpec.from_dict(spec.to_dict()) == spec
+    # an integral float is an integer; a fraction is not
+    assert GridSpec.from_dict({**spec.to_dict(), "n_k": 8.0}) == spec
+    with pytest.raises(ValueError, match="'n_k'"):
+        GridSpec.from_dict({**spec.to_dict(), "n_k": 8.5})
     with pytest.raises(KeyError):
         GridSpec.from_dict({"n_k": 8})
 

@@ -195,14 +195,20 @@ def test_com_time_invariance_coarse():
         assert np.max(np.abs(a - b)) < 5e-3 * scale
 
 
-def test_com_convergence_shift_flags_undersized_box():
-    v, lattice = com_setup()
+def test_com_convergence_shift_flags_undersized_box(monkeypatch):
+    v, _ = com_setup()
     # box cut to a third of its converged size: large shift expected
     small = SpaceTimeLattice(origin=(-5.0,) * 3, extents=(10.0,) * 3,
                              n_x=10, n_y=10, n_z=10)
-    assert com_convergence_shift(v, small, factor=1.6) > 1e-2
+    base = synthesize_fields(v, small)
+    assert com_convergence_shift(v, base, factor=1.6) > 1e-2
+    # the factor is rejected before any synthesis
+    calls = []
+    monkeypatch.setattr(synthesis, "synthesize_fields",
+                        lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError):
-        com_convergence_shift(v, lattice, factor=1.0)
+        com_convergence_shift(v, base, factor=1.0)
+    assert calls == []
 
 
 def test_export_fields_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from photon_angmom.vsh import (
     synthesize,
     vsh_pair,
 )
-from photon_angmom.wavefunction import WaveFunction, norm
+from photon_angmom.wavefunction import WaveFunction, norm, random_state
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +234,96 @@ def test_to_rows_dump(grid):
     row = rows[0]
     assert (row["a"], row["l"], row["m"]) == (2, 3, -2)
     np.testing.assert_allclose([c[0] for c in row["radial"]], rad)
+
+
+# Oracle for the transforms: scipy's Y_lm and the ladder closed form of Y1,
+# written out here so the reference shares no code with photon_angmom.vsh.
+
+
+def _oracle_y1(l, m, theta, phi):
+    """Y1_lm from the ladder closed form, c+- = sqrt(l(l+1) - m(m+-1)):
+
+        x = (c+ Y_{l,m+1} + c- Y_{l,m-1}) / 2N
+        y = (c+ Y_{l,m+1} - c- Y_{l,m-1}) / 2iN
+        z = m Y_lm / N,  N = sqrt(l(l+1))
+    """
+    def ylm(mu):
+        if abs(mu) > l:
+            return np.zeros(theta.shape, dtype=complex)
+        return sph_harm_y(l, mu, theta, phi)
+
+    n = np.sqrt(l * (l + 1.0))
+    up = np.sqrt(l * (l + 1.0) - m * (m + 1.0)) * ylm(m + 1)
+    dn = np.sqrt(l * (l + 1.0) - m * (m - 1.0)) * ylm(m - 1)
+    return np.stack([(up + dn) / (2 * n), (up - dn) / (2j * n), m * ylm(m) / n], axis=-1)
+
+
+def _oracle_basis(grid, l_max, m_lo, m_hi):
+    """{(a, l, m): Y^(a)_lm on the angular subgrid, shape (n_theta * n_phi, 3)}."""
+    th = np.repeat(grid.theta_nodes, grid.spec.n_phi)
+    ph = np.tile(grid.phi_nodes, grid.spec.n_theta)
+    khat = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)],
+                    axis=-1)
+    basis = {}
+    for l in range(1, l_max + 1):
+        for m in range(max(-l, m_lo), min(l, m_hi) + 1):
+            y1 = _oracle_y1(l, m, th, ph)
+            basis[(1, l, m)] = y1
+            basis[(2, l, m)] = np.cross(khat, y1)
+    return basis
+
+
+def _oracle_sum(grid, coeffs, basis):
+    """sum_(a,l,m) c_alm(k) Y^(a)_lm at every node, shape (n_nodes, 3)."""
+    vals = sum(c[:, None, None] * basis[key][None] for key, c in coeffs.items())
+    return vals.reshape(-1, 3)
+
+
+def _random_coeffs(grid, basis, seed):
+    rng = np.random.default_rng(seed)
+    n_k = grid.spec.n_k
+    return {key: rng.standard_normal(n_k) + 1j * rng.standard_normal(n_k)
+            for key in basis}
+
+
+def _assert_rel(got, ref, rtol=1e-12):
+    err = np.abs(np.asarray(got) - np.asarray(ref)).max()
+    assert err <= rtol * np.abs(ref).max(), err
+
+
+def test_analyze_matches_direct_quadrature(grid):
+    v = random_state(grid, seed=31)
+    basis = _oracle_basis(grid, 10, -10, 10)
+    e = analyze(v, l_max=10)
+    vals = v.values.reshape(grid.spec.n_k, -1, 3)
+    w = grid.angular_weights
+    keys = sorted(basis)
+    ref = np.array([np.einsum("ac,a,kac->k", np.conj(basis[key]), w, vals)
+                    for key in keys])
+    got = np.array([e.coefficient(*key) for key in keys])
+    _assert_rel(got, ref)
+
+
+@pytest.fixture(scope="module")
+def coarse_grid():
+    # n_phi = 4: the orders of an l_max = 4 expansion share FFT bins
+    return build_grid(GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=6, n_phi=4))
+
+
+def test_synthesize_sums_aliasing_orders(coarse_grid):
+    basis = _oracle_basis(coarse_grid, 4, -4, 4)
+    coeffs = _random_coeffs(coarse_grid, basis, seed=37)
+    e = VshExpansion.zero(coarse_grid, l_max=4)
+    for (a, l, m), c in coeffs.items():
+        e.coeffs[a - 1, :, l, m + 4] = c
+    _assert_rel(synthesize(e).values, _oracle_sum(coarse_grid, coeffs, basis))
+
+
+def test_windowed_analyze_on_coarse_azimuthal_grid(coarse_grid):
+    basis = _oracle_basis(coarse_grid, 4, 1, 2)
+    coeffs = _random_coeffs(coarse_grid, basis, seed=41)
+    vals = _oracle_sum(coarse_grid, coeffs, basis)
+    v = WaveFunction(coarse_grid, vals, check=False)
+    e = analyze(v, l_max=4, m_window=(1, 2))
+    keys = sorted(coeffs)
+    _assert_rel([e.coefficient(*key) for key in keys], [coeffs[key] for key in keys])
