@@ -36,7 +36,7 @@ import sys
 from . import __version__
 from .grid import GridSpec, build_grid, strict_int
 from .modes import ModeSpec, build_mode
-from .operators import observable_report
+from .operators import azimuthal_support, observable_report
 from .synthesis import (
     SpaceTimeLattice,
     com_convergence_shift,
@@ -238,16 +238,26 @@ def report_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+# Rows formatted per write, so memory stays bounded for any node count.
+_CSV_CHUNK_ROWS = 2048
+_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
+
+
 def write_wavefunction_csv(v, path: str) -> None:
     grid = v.grid
-    lines = ["k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3"]
-    for i in range(grid.n_nodes):
-        cells = [grid.k[i], grid.theta[i], grid.phi[i]]
-        for c in range(3):
-            cells.append(v.values[i, c].real)
-            cells.append(v.values[i, c].imag)
-        lines.append(",".join("%.17g" % cell for cell in cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3\n")
+            for lo in range(0, grid.n_nodes, _CSV_CHUNK_ROWS):
+                sl = slice(lo, lo + _CSV_CHUNK_ROWS)
+                vals = v.values[sl]
+                cols = [grid.k[sl], grid.theta[sl], grid.phi[sl]]
+                for c in range(3):
+                    cols += [vals[:, c].real, vals[:, c].imag]
+                rows = zip(*(col.tolist() for col in cols))
+                fh.write("".join(_CSV_ROW % row for row in rows))
+    except OSError as err:
+        raise ConfigError(f"cannot write output {path!r}: {err}") from None
 
 
 def _expansion_l_max(grid_spec: GridSpec, entry: dict) -> int:
@@ -292,6 +302,13 @@ def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: di
         v = build_mode(mode_spec, grid)
     except (ValueError, FloatingPointError) as err:
         raise NumericalError(f"mode construction failed: {err}") from None
+    n_phi = grid_spec.n_phi
+    if n_phi % 2 == 0 and any(
+            (bins == -(n_phi // 2)).any() for bins in azimuthal_support(v).values()):
+        raise NumericalError(
+            f"mode has azimuthal content at the Nyquist bin of n_phi = {n_phi}, "
+            "so its azimuthal orders alias; raise n_phi"
+        )
     norm_dev = abs(norm(v) - 1.0)
     if norm_dev > tolerances["mode_norm"]:
         raise NumericalError(

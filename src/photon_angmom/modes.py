@@ -33,6 +33,7 @@ residuals vanish quadratically in 1/(w0 k_fixed).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,6 +56,12 @@ __all__ = [
 ]
 
 _KINDS = ("j3_w_eigenstate", "sam_wavepacket", "vector_lg")
+# Numeric fields of the profile sub-dicts, checked when a ModeSpec is made.
+_PROFILE_NUMBERS = {
+    "radial_profile": ("k0", "sigma_k"),
+    "theta_profile": ("theta0", "sigma_theta", "x_lo", "x_hi"),
+}
+_POSITIVE = ("sigma_k", "sigma_theta")
 PARAXIAL_WARN_THRESHOLD = 20.0
 
 
@@ -91,6 +98,21 @@ class ModeSpec:
                 raise ValueError(
                     f"{key!r} must be an object, got {getattr(self, key)!r}"
                 )
+        for profile, keys in _PROFILE_NUMBERS.items():
+            values = getattr(self, profile)
+            for key in keys:
+                if key not in values:
+                    continue
+                value = values[key]
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not np.isfinite(value)):
+                    raise ValueError(
+                        f"{key!r} in {profile} must be a finite number, got {value!r}"
+                    )
+                if key in _POSITIVE and value <= 0.0:
+                    raise ValueError(
+                        f"{key!r} in {profile} must be positive, got {value!r}"
+                    )
         if self.kind not in _KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.w not in (1, -1):
@@ -169,8 +191,6 @@ def _theta_amplitude(spec: ModeSpec, theta):
     if kind == "gaussian_in_theta":
         theta0 = float(prof.get("theta0", 0.0))
         sigma = float(prof.get("sigma_theta", 0.3))
-        if sigma <= 0.0:
-            raise ValueError("sigma_theta must be positive")
         return np.exp(-((theta - theta0) ** 2) / (4.0 * sigma**2))
     if kind == "uniform_band":
         x_lo = float(prof.get("x_lo", -1.0))

@@ -45,6 +45,7 @@ __all__ = [
     "apply_J_squared",
     "apply_J3_azimuthal",
     "apply_L",
+    "azimuthal_support",
     "azimuthal_window",
     "expansion_inner",
     "observable_report",
@@ -147,13 +148,12 @@ def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
-def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
-    """Contiguous J3-order window covered by the state's azimuthal content.
+def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
+    """FFT bins of the x + i y, x - i y and z channels that hold content.
 
-    The x +- i y channels of a VSH of order m oscillate as e^{i(m +- 1)phi}
-    and the z channel as e^{i m phi}; the detected FFT support of each
-    channel is mapped back accordingly and the union returned, clipped to
-    [-l_max, l_max].
+    Maps each channel's order offset (+1, -1, 0) to the signed bins in
+    [-n_phi/2, n_phi/2) whose amplitude on some (k, theta) ring exceeds
+    rel_tol * max |v|.  For even n_phi, bin -n_phi/2 is the Nyquist bin.
     """
     grid = v.grid
     cube = v.values.reshape(grid.shape + (3,))
@@ -163,11 +163,24 @@ def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
         0: cube[..., 2],
     }
     mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi).astype(int)
-    orders = []
     scale = max(np.abs(v.values).max(), 1e-300)
+    support = {}
     for off, ch in chans.items():
         amp = np.abs(np.fft.fft(ch, axis=2)).max(axis=(0, 1)) / grid.spec.n_phi
-        present = mu[amp > rel_tol * scale]
+        support[off] = mu[amp > rel_tol * scale]
+    return support
+
+
+def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
+    """Contiguous J3-order window covered by the state's azimuthal content.
+
+    The x +- i y channels of a VSH of order m oscillate as e^{i(m +- 1)phi}
+    and the z channel as e^{i m phi}; the detected FFT support of each
+    channel is mapped back accordingly and the union returned, clipped to
+    [-l_max, l_max].
+    """
+    orders = []
+    for off, present in azimuthal_support(v, rel_tol).items():
         orders.extend(present - off)
     if not orders:
         return (0, 0)

@@ -13,19 +13,31 @@ rule over the lattice.
 
 Nodes come in rings: the n_phi contiguous nodes of one (k, theta) share
 omega = k and k_z, so the phase factors as e^{i (k_x x + k_y y)} times a
-per-ring e^{i (k_z z - omega t)}.  The synthesis evaluates the same sum in
-two stages over blocks of rings:
+per-ring e^{i (k_z z - omega t)}.  The Gauss-Legendre x-nodes are
+symmetric, so the rings at theta and pi - theta of one shell form a mirror
+pair with the same (k_x, k_y) on every phi node; only k_z changes sign.
+With odd n_theta the equator ring is its own mirror and is counted once.
+The synthesis evaluates the same sum in two stages over blocks of pairs:
 
-    1. per ring, a phi-sum of A, i k_x A and i k_y A onto the (x, y) plane,
-       one batched matrix product (ny rows per channel) @ (n_phi, nx);
+    1. per pair, a phi-sum of A, i k_x A and i k_y A onto the (x, y) plane:
+       one left factor (1 | i k_x | i k_y) e^{i k_y y}, (3 ny, n_phi),
+       shared by both rings, against each ring's right factor
+       A_c e^{i k_x x}, (n_phi, 3 nx), in one batched matrix product;
     2. per block, matrix products of those planes with the rings as the
        inner dimension: against P_z = e^{i (k_z z - omega t)} for d_x A and
        d_y A, and against [P_z, i omega P_z, i k_z P_z] for A, E and d_z A.
 
+The lattice axes are uniform, so the in-plane phase tables
+e^{i k (x_0 + j dx)} are built by doubling: rows [m, 2m) are rows [0, m)
+times e^{i k m dx}.  Each entry is a product of at most 1 + ceil(log2 n)
+correctly rounded phases, and a pair costs 2 + ceil(log2 nx) +
+ceil(log2 ny) cos/sin per phi node instead of 2 (nx + ny).
+
 This only reorders the plane-wave sum.  Cost is O(n_nodes nx ny) for the
-first stage and O(n_rings nx ny nz) for the second, against
-O(n_nodes nx ny nz) for the direct sum.  Ring blocks are sized from a fixed
-byte budget, so memory stays bounded by it plus the output.
+first stage (9 nx ny complex multiply-adds per node, in the matrix
+products) and O(n_rings nx ny nz) for the second, against
+O(n_nodes nx ny nz) for the direct sum.  Blocks of pairs are sized from a
+fixed byte budget, so memory stays bounded by it plus the output.
 
 Real-space constants of motion evaluate the volume integrals
 
@@ -180,10 +192,26 @@ def _phase(arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_block(n_phi: int, nx: int, ny: int) -> int:
-    """Rings per block: phases, weighted phases and planes within _BLOCK_BYTES."""
-    per_ring = 16 * (n_phi * (nx + 10 * ny) + 9 * nx * ny)
-    return max(1, _BLOCK_BYTES // per_ring)
+def _axis_phases(k: np.ndarray, x0: float, dx: float, out: np.ndarray) -> None:
+    """Fill out[j] = e^{i k (x0 + j dx)} for j < len(out), by doubling.
+
+    Rows [m, 2m) are rows [0, m) times e^{i k m dx}, so every entry is a
+    product of at most 1 + ceil(log2 n) correctly rounded phases, at a cost
+    of 1 + ceil(log2 n) cos/sin per k instead of n.
+    """
+    n = len(out)
+    out[0] = _phase(k * x0)
+    m = 1
+    while m < n:
+        step = min(m, n - m)
+        np.multiply(out[:step], _phase(k * (m * dx)), out=out[m:m + step])
+        m += step
+
+
+def _pair_block(n_phi: int, nx: int, ny: int) -> int:
+    """Mirror pairs per block: phase tables, factors and planes within _BLOCK_BYTES."""
+    per_pair = 16 * (n_phi * (7 * nx + 3 * ny) + 18 * nx * ny)
+    return max(1, _BLOCK_BYTES // per_pair)
 
 
 def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
@@ -197,41 +225,55 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
                 f"aliases k_max = {grid.spec.k_max:.4g} "
                 f"(need spacing < {np.pi / grid.spec.k_max:.4g})"
             )
-    ax, ay, az = (lattice.axis(j) for j in range(3))
     nx, ny, nz = lattice.shape
+    (x0, y0, _), dx, dy = lattice.origin, lattice.spacing(0), lattice.spacing(1)
+    az = lattice.axis(2)
     n_k, n_theta, n_phi = grid.shape
-    n_rings = n_k * n_theta
-    kvec = grid.kvec.reshape(n_rings, n_phi, 3)
-    om = grid.k[::n_phi]                                      # constant on a ring
-    kz = kvec[:, 0, 2]                                        # constant on a ring
+    half = (n_theta + 1) // 2                                 # mirror pairs per shell
+    mirror = np.stack([np.arange(half), n_theta - 1 - np.arange(half)], axis=1)
+    kvec = grid.kvec.reshape(n_k, n_theta, n_phi, 3)
+    kx = kvec[:, :half, :, 0].reshape(-1, n_phi)              # the lower ring serves both
+    ky = kvec[:, :half, :, 1].reshape(-1, n_phi)
+    kz = kvec[:, mirror, 0, 2].reshape(-1)                    # (pair, mirror) order
+    om = np.repeat(grid.k_nodes, 2 * half)
     amp = (grid.weights / (2.0 * np.pi * np.sqrt(grid.k)))[:, None] * v.values
-    amp = amp.reshape(n_rings, n_phi, 3).transpose(0, 2, 1)    # (ring, component, phi)
+    amp = amp.reshape(n_k, n_theta, n_phi, 3)[:, mirror].transpose(0, 1, 2, 4, 3)
+    amp = amp.reshape(-1, 2, 3, n_phi)                        # (pair, mirror, comp., phi)
+    if n_theta % 2:
+        amp[half - 1::half, 1] = 0.0                          # the equator ring counts once
+    n_pairs = len(amp)
 
     # rows (y, component, x); fa columns (A | E | d_z A, z), fk rows led by d_x | d_y
     fa = np.zeros((ny * 3 * nx, 3 * nz), dtype=complex)
     fk = np.zeros((2 * ny * 3 * nx, nz), dtype=complex)
-    block = min(n_rings, _ring_block(n_phi, nx, ny))
-    q = np.empty((block, 3, ny, 3, n_phi), dtype=complex)
-    g = np.empty((block, 9 * ny, nx), dtype=complex)
-    for lo in range(0, n_rings, block):
+    block = min(n_pairs, _pair_block(n_phi, nx, ny))
+    # left: (1 | i k_x | i k_y) e^{i k_y y}; px: e^{i k_x x}, axis-major;
+    # right: A_c e^{i k_x x} of both rings of a pair
+    left = np.empty((block, 3, ny, n_phi), dtype=complex)
+    px = np.empty((nx, block, n_phi), dtype=complex)
+    right = np.empty((block, 2, n_phi, 3, nx), dtype=complex)
+    g = np.empty((block, 2, 3 * ny, 3 * nx), dtype=complex)
+    for lo in range(0, n_pairs, block):
         sl = slice(lo, lo + block)
-        kx = kvec[sl, :, 0]
-        ky = kvec[sl, :, 1]
-        a = amp[sl]                                           # (nb, 3, n_phi)
+        a = amp[sl]
         nb = len(a)
-        # stage 1: phi-sum of A, i k_x A and i k_y A onto the (x, y) plane
-        w = np.stack([a, (1j * kx)[:, None] * a, (1j * ky)[:, None] * a], axis=1)
-        py = _phase(ky[:, None, :] * ay[:, None])             # (nb, ny, n_phi)
-        np.multiply(py[:, None, :, None, :], w[:, :, None], out=q[:nb])
-        px = _phase(kx[:, :, None] * ax)                      # (nb, n_phi, nx)
-        np.matmul(q[:nb].reshape(nb, 9 * ny, n_phi), px, out=g[:nb])
-        planes = g[:nb].reshape(nb, 3, -1)
+        # stage 1: per pair, phi-sums of A, i k_x A and i k_y A onto the (x, y) plane
+        _axis_phases(ky[sl], y0, dy, out=left[:nb, 0].transpose(1, 0, 2))
+        np.multiply((1j * kx[sl])[:, None], left[:nb, 0], out=left[:nb, 1])
+        np.multiply((1j * ky[sl])[:, None], left[:nb, 0], out=left[:nb, 2])
+        _axis_phases(kx[sl], x0, dx, out=px[:, :nb])
+        np.multiply(a.transpose(0, 1, 3, 2)[..., None],
+                    px[:, :nb].transpose(1, 2, 0)[:, None, :, None], out=right[:nb])
+        np.matmul(left[:nb].reshape(nb, 1, 3 * ny, n_phi),
+                  right[:nb].reshape(nb, 2, n_phi, 3 * nx), out=g[:nb])
+        planes = g[:nb].reshape(2 * nb, 3, -1)
         # stage 2: rings against e^{i (k_z z - omega t)}
-        pz = _phase(kz[sl, None] * az - om[sl, None] * time)  # (nb, nz)
+        rs = slice(2 * lo, 2 * (lo + nb))
+        pz = _phase(kz[rs, None] * az - om[rs, None] * time)  # (2 nb, nz)
         rhs = np.concatenate(
-            [pz, (1j * om[sl, None]) * pz, (1j * kz[sl, None]) * pz], axis=1)
+            [pz, (1j * om[rs, None]) * pz, (1j * kz[rs, None]) * pz], axis=1)
         fa += planes[:, 0].T @ rhs
-        fk += planes[:, 1:].reshape(nb, -1).T @ pz
+        fk += planes[:, 1:].reshape(2 * nb, -1).T @ pz
 
     cube = np.empty((nx, ny, nz, 5, 3), dtype=complex)        # A, E, d_x, d_y, d_z A
     cube[..., [0, 1, 4], :] = fa.reshape(ny, 3, nx, 3, nz).transpose(2, 0, 4, 3, 1)

@@ -132,6 +132,22 @@ def test_vector_lg_report_third_am_component(tmp_path, capsys):
     assert report["helicity"] < -0.99
 
 
+def test_nyquist_content_is_numerical_error(tmp_path, capsys):
+    # m = 9 on n_phi = 4 puts the x + i y channel (order 10) on the Nyquist bin
+    cfg = write_config(
+        tmp_path,
+        grid={"n_k": 4, "k_min": 0.94, "k_max": 1.06, "n_theta": 64, "n_phi": 12},
+        mode={"kind": "vector_lg", "m": 2, "w": -1, "p": 1, "w0": 25.0,
+              "k_fixed": 1.0},
+    )
+    assert main(["mode", "--config", str(cfg), "--mode.m=9", "--grid.n_phi=4"]) == 3
+    err = capsys.readouterr().err
+    assert "n_phi" in err
+    assert "Traceback" not in err
+    # the same mode on a grid that resolves its orders passes the guard
+    assert main(["mode", "--config", str(cfg), "--mode.m=9", "--grid.n_phi=24"]) == 0
+
+
 def test_override_flags_reach_nested_keys(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main([
@@ -168,10 +184,16 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
         ("mode", {"outputs": [{"kind": "expansion", "path": "e.json", "l_max": 1.5}]},
          [], "l_max"),
         ("synth", {}, ["--lattice.n_x=12.5"], "n_x"),
+        ("mode", {}, ["--mode.theta_profile.sigma_theta=-1"], "sigma_theta"),
+        ("mode", {}, ["--mode.radial_profile.sigma_k=0"], "sigma_k"),
+        ("mode", {}, ["--mode.theta_profile.theta0=\"up\""], "theta0"),
+        ("synth", {}, ["--mode.theta_profile.sigma_theta=-0.2"], "sigma_theta"),
     ],
     ids=["missing", "unknown", "top-level-typo", "radial-not-object",
          "theta-not-object", "fractional-m", "bool-n_k", "string-n_phi",
-         "string-l_max", "fractional-l_max", "fractional-n_x"],
+         "string-l_max", "fractional-l_max", "fractional-n_x",
+         "negative-sigma_theta", "zero-sigma_k", "string-theta0",
+         "synth-negative-sigma_theta"],
 )
 def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
                                               overrides, key):

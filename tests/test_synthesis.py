@@ -107,15 +107,29 @@ def test_synthesis_matches_direct_sum():
         np.testing.assert_allclose(snap.B, curl, atol=1e-13 * np.abs(curl).max())
 
 
+def test_synthesis_counts_the_equator_ring_once():
+    # odd n_theta: the equator ring is its own mirror and must count once
+    grid = build_grid(GridSpec(n_k=2, k_min=0.6, k_max=1.4, n_theta=7, n_phi=6))
+    v = random_state(grid, seed=17)
+    lattice = SpaceTimeLattice(origin=(-0.9, -1.1, -0.4), extents=(1.9, 2.2, 1.2),
+                               n_x=4, n_y=5, n_z=3)
+    snap = synthesize_fields(v, lattice, time=-0.45)
+    A, E, dA = direct_fields(v, lattice, -0.45)
+    np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
+    np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
+    np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
+
+
 def test_synthesis_matches_direct_sum_across_ring_blocks(monkeypatch):
-    # a small budget splits the 150 rings into several blocks, the last partial
+    # 3 shells of 25 mirror pairs; a small budget splits the 75 pairs into
+    # 7 blocks of 10 and a partial block of 5
     grid = build_grid(GridSpec(n_k=3, k_min=0.7, k_max=1.3, n_theta=50, n_phi=7))
     v = random_state(grid, seed=5)
     lattice = SpaceTimeLattice(origin=(-1.2, -0.7, -0.9), extents=(2.3, 1.4, 1.9),
                                n_x=5, n_y=4, n_z=3)
-    monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 150 * 1024)
-    block = synthesis._ring_block(7, lattice.n_x, lattice.n_y)
-    assert 3 * block < 150 and 150 % block != 0
+    monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 110 * 1024)
+    block = synthesis._pair_block(7, lattice.n_x, lattice.n_y)
+    assert 3 * block < 75 and 75 % block != 0
     snap = synthesize_fields(v, lattice, time=0.7)
     A, E, dA = direct_fields(v, lattice, 0.7)
     np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
