@@ -44,7 +44,7 @@ from .synthesis import (
     export_slice,
     synthesize_fields,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .vsh import analyze
 from .wavefunction import norm, transverse_residual
 
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--config", default=None, help="JSON run configuration")
     p_verify.add_argument("--suite", default=None,
-                          help="algebraic | spectral | vsh | paraxial | com-crosscheck")
+                          help=" | ".join(list(SUITES) + ["all"]))
     p_verify.add_argument("--seed", type=int, default=None,
                           help="seed for randomized suite states")
 

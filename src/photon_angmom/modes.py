@@ -29,6 +29,19 @@ image with reversed helicity would appear; at w0 k_fixed >= 20 the profile
 at the equator is below e^{-100} and the restriction changes nothing
 numerically).  Exact J3 eigenstates with eigenvalue m; W and transversality
 residuals vanish quadratically in 1/(w0 k_fixed).
+
+Both closed-form families are products of a radial factor, a polar factor
+and e^{i n phi}.  Each factor is evaluated once per node of its own axis,
+on grid.k_nodes, grid.theta_nodes and grid.phi_nodes shaped (n_k, 1, 1),
+(1, n_theta, 1) and (1, 1, n_phi), and broadcasting forms the full
+(n_k, n_theta, n_phi) products in the same association order as a
+node-by-node evaluation, so the samples are bit-identical to it.  The
+scalar LG closed form, for one, runs on n_k * n_theta nodes, not on
+n_k * n_theta * n_phi.
+
+Each builder carries a finite set of azimuthal orders in its Cartesian
+components and refuses a grid whose n_phi cannot resolve them, since an
+FFT over n_phi nodes would fold them onto other orders.
 """
 
 from __future__ import annotations
@@ -55,7 +68,40 @@ __all__ = [
     "theta_distribution",
 ]
 
-_KINDS = ("j3_w_eigenstate", "sam_wavepacket", "vector_lg")
+# The fields each mode kind reads: None for a plain field, and for a profile
+# the keys read from it (for the theta profile, per its own kind).
+# ModeSpec.from_dict rejects every other field and profile key.
+_THETA_KEYS = {
+    "gaussian_in_theta": ("kind", "theta0", "sigma_theta"),
+    "uniform_band": ("kind", "x_lo", "x_hi"),
+}
+_KIND_KEYS = {
+    "j3_w_eigenstate": {
+        "m": None, "w": None,
+        "radial_profile": ("k0", "sigma_k"), "theta_profile": _THETA_KEYS,
+    },
+    "sam_wavepacket": {
+        "w": None, "s_direction": None, "kappa": None, "carrier": None,
+        "radial_profile": ("k0", "sigma_k"),
+    },
+    "vector_lg": {
+        "m": None, "w": None, "p": None, "w0": None, "k_fixed": None,
+        "radial_profile": ("sigma_k",),
+    },
+}
+_KINDS = tuple(_KIND_KEYS)
+
+
+def _profile_keys(kind: str, profile: str, value: dict):
+    """Keys mode `kind` reads from one profile dict; None for an unknown
+    theta profile kind, which the ModeSpec constructor rejects."""
+    read = _KIND_KEYS[kind][profile]
+    if isinstance(read, dict):
+        sub = value.get("kind")
+        return read.get(sub) if isinstance(sub, str) else None
+    return read
+
+
 # Numeric fields of the profile sub-dicts, checked when a ModeSpec is made.
 _PROFILE_NUMBERS = {
     "radial_profile": ("k0", "sigma_k"),
@@ -77,7 +123,11 @@ class ModeSpec:
     sam_wavepacket: w, s_direction, kappa, radial_profile,
         carrier in {helicity, projected}.
     vector_lg: m, w, p, w0, k_fixed, radial_profile.sigma_k
-        (defaults to k_fixed / 50).
+        (0.1 from the default radial_profile; k_fixed / 50 when a
+        radial_profile without sigma_k is given).
+
+    `from_dict` (the config path) rejects any field or profile key the
+    kind does not read; `to_dict` writes exactly the fields it reads.
     """
 
     kind: str
@@ -145,33 +195,44 @@ class ModeSpec:
                 )
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "w": self.w,
-            "p": self.p,
-            "s_direction": list(self.s_direction),
-            "kappa": self.kappa,
-            "radial_profile": dict(self.radial_profile),
-            "theta_profile": dict(self.theta_profile),
-            "w0": self.w0,
-            "k_fixed": self.k_fixed,
-            "carrier": self.carrier,
-        }
+        d = {"kind": self.kind}
+        for key in _KIND_KEYS[self.kind]:
+            value = getattr(self, key)
+            if _KIND_KEYS[self.kind][key] is not None:
+                read = _profile_keys(self.kind, key, value)
+                value = {k: v for k, v in value.items() if k in read}
+            elif key == "s_direction":
+                value = list(value)
+            d[key] = value
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {
-            "kind", "m", "w", "p", "s_direction", "kappa", "radial_profile",
-            "theta_profile", "w0", "k_fixed", "carrier",
-        }
-        unknown = set(d) - allowed
-        if unknown:
-            raise KeyError(f"unknown mode key {sorted(unknown)[0]!r}")
         if "kind" not in d:
             raise KeyError("mode spec missing key 'kind'")
+        kind = str(d["kind"])
+        if kind not in _KIND_KEYS:
+            raise ValueError(f"unknown mode kind {kind!r}")
+        table = _KIND_KEYS[kind]
+        for key in d:
+            if key == "kind":
+                continue
+            if key not in table:
+                if any(key in fields for fields in _KIND_KEYS.values()):
+                    raise KeyError(f"mode key {key!r} is not read by kind {kind!r}")
+                raise KeyError(f"unknown mode key {key!r}")
+            if table[key] is None or not isinstance(d[key], dict):
+                continue  # the constructor rejects a profile that is no object
+            read = _profile_keys(kind, key, d[key])
+            unread = [sub for sub in d[key] if read is not None and sub not in read]
+            if unread:
+                raise KeyError(
+                    f"{key} key {unread[0]!r} is not read by kind {kind!r}"
+                    + (f" with a {d[key]['kind']!r} profile"
+                       if isinstance(table[key], dict) else "")
+                )
         kwargs = {k: d[k] for k in d}
-        kwargs["kind"] = str(kwargs["kind"])
+        kwargs["kind"] = kind
         for intkey in ("m", "w", "p"):
             if intkey in kwargs:
                 kwargs[intkey] = strict_int(kwargs[intkey], intkey)
@@ -202,24 +263,47 @@ def _theta_amplitude(spec: ModeSpec, theta):
     raise ValueError(f"unknown theta profile kind {kind!r}")
 
 
+def _factor_axes(grid: WaveVectorGrid):
+    """k, theta and phi nodes shaped (n_k, 1, 1), (1, n_theta, 1), (1, 1, n_phi)."""
+    return (
+        grid.k_nodes[:, None, None],
+        grid.theta_nodes[None, :, None],
+        grid.phi_nodes[None, None, :],
+    )
+
+
+def _check_azimuthal_orders(grid: WaveVectorGrid, *orders: int) -> None:
+    """Reject a grid whose n_phi cannot resolve every given azimuthal order.
+
+    An FFT over n_phi uniform nodes resolves the orders o with
+    2 |o| < n_phi; a larger order aliases onto another one (on an even
+    n_phi, |o| = n_phi / 2 is the Nyquist bin, where +o and -o meet).
+    """
+    n_phi = grid.spec.n_phi
+    top = max(abs(o) for o in orders)
+    if 2 * top >= n_phi:
+        raise ValueError(
+            f"n_phi = {n_phi} cannot carry azimuthal order {top}; "
+            f"it needs n_phi >= {2 * top + 1}"
+        )
+
+
 def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     """Exact simultaneous J3 (eigenvalue m) and W (eigenvalue w) eigenstate."""
     if spec.kind != "j3_w_eigenstate":
         raise ValueError("spec.kind must be 'j3_w_eigenstate'")
     m, w = spec.m, spec.w
-    max_order = max(abs(m - w), abs(m + w))
-    if grid.spec.n_phi < 2 * max_order + 2:
-        raise ValueError(
-            f"n_phi = {grid.spec.n_phi} cannot carry azimuthal order {max_order}"
-        )
+    # e^{i (m - w) phi} eps^(w) carries the Cartesian orders m - 1, m, m + 1
+    _check_azimuthal_orders(grid, m - w, m + w)
     ep, em = helicity_basis(grid.khat)
     pol = ep if w == 1 else em
+    k, theta, phi = _factor_axes(grid)
     amp = (
-        _radial_gaussian(grid.k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])
-        * _theta_amplitude(spec, grid.theta)
-        * np.exp(1j * (m - w) * grid.phi)
+        _radial_gaussian(k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])
+        * _theta_amplitude(spec, theta)
+        * np.exp(1j * (m - w) * phi)
     )
-    return normalize(WaveFunction(grid, amp[:, None] * pol, check=False))
+    return normalize(WaveFunction(grid, amp.reshape(-1, 1) * pol, check=False))
 
 
 @dataclass
@@ -337,26 +421,27 @@ def build_vector_lg(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
             "paraxial error terms are not small",
             stacklevel=2,
         )
-    scalar_m = spec.m - spec.w
-    theta = grid.theta
-    phi = grid.phi
-    rho = grid.k * np.sin(theta)
-    profile = scalar_lg(scalar_m, spec.p, spec.w0, rho, phi)
+    m, w = spec.m, spec.w
+    # x, y carry the scalar order m - w; z carries (m - w) + w = m
+    _check_azimuthal_orders(grid, m - w, m)
+    k, theta, phi = _factor_axes(grid)
+    rho = k * np.sin(theta)
+    profile = scalar_lg(m - w, spec.p, spec.w0, rho, phi)
     sigma_k = float(spec.radial_profile.get("sigma_k", spec.k_fixed / 50.0))
-    carrier = _radial_gaussian(grid.k, spec.k_fixed, sigma_k)
+    carrier = _radial_gaussian(k, spec.k_fixed, sigma_k)
     forward = (theta <= 0.5 * np.pi).astype(float)
     amp = profile * carrier * forward / np.sqrt(2.0)
 
-    vals = np.zeros((grid.n_nodes, 3), dtype=complex)
-    if spec.w == 1:
-        vals[:, 0] = amp
-        vals[:, 1] = 1j * amp
-        vals[:, 2] = -theta * np.exp(1j * phi) * amp
+    vals = np.empty(grid.shape + (3,), dtype=complex)
+    if w == 1:
+        vals[..., 0] = amp
+        vals[..., 1] = 1j * amp
+        vals[..., 2] = -theta * np.exp(1j * phi) * amp
     else:
-        vals[:, 0] = 1j * amp
-        vals[:, 1] = amp
-        vals[:, 2] = -1j * theta * np.exp(-1j * phi) * amp
-    return normalize(WaveFunction(grid, vals, check=False))
+        vals[..., 0] = 1j * amp
+        vals[..., 1] = amp
+        vals[..., 2] = -1j * theta * np.exp(-1j * phi) * amp
+    return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
 
 
 def build_mode(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:

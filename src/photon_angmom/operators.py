@@ -63,18 +63,43 @@ def apply_P(index: int, v: WaveFunction) -> WaveFunction:
     return WaveFunction(v.grid, factor[:, None] * v.values, check=False)
 
 
+def _khat_cross(khat, values):
+    """khat x v per node, component by component.
+
+    The same products and differences as np.cross (which promotes khat to
+    complex), without its per-call axis and broadcast handling.
+    """
+    kx, ky, kz = khat[:, 0], khat[:, 1], khat[:, 2]
+    vx, vy, vz = values[:, 0], values[:, 1], values[:, 2]
+    out = np.empty(values.shape, dtype=complex)
+    np.subtract(ky * vz, kz * vy, out=out[:, 0])
+    np.subtract(kz * vx, kx * vz, out=out[:, 1])
+    np.subtract(kx * vy, ky * vx, out=out[:, 2])
+    return out
+
+
+def _spin_from_cross(grid: WaveVectorGrid, axis: int, cross) -> WaveFunction:
+    """S_l v = i khat_l (khat x v), given the product khat x v."""
+    return WaveFunction(grid, 1j * grid.khat[:, axis - 1][:, None] * cross, check=False)
+
+
+def _spin_actions(v: WaveFunction):
+    """[S1 v, S2 v, S3 v] and W v, all from one khat x v product."""
+    cross = _khat_cross(v.grid.khat, v.values)
+    sv = [_spin_from_cross(v.grid, ax, cross) for ax in (1, 2, 3)]
+    return sv, WaveFunction(v.grid, 1j * cross, check=False)
+
+
 def apply_S(axis: int, v: WaveFunction) -> WaveFunction:
     """SAM component: (S_l v)_j = i khat_l (khat x v)_j."""
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1..3")
-    khat = v.grid.khat
-    cross = np.cross(khat, v.values)
-    return WaveFunction(v.grid, 1j * khat[:, axis - 1][:, None] * cross, check=False)
+    return _spin_from_cross(v.grid, axis, _khat_cross(v.grid.khat, v.values))
 
 
 def apply_W(v: WaveFunction) -> WaveFunction:
     """Helicity: (W v)_j = i (khat x v)_j; multiplies helicity amplitudes by +-1."""
-    return WaveFunction(v.grid, 1j * np.cross(v.grid.khat, v.values), check=False)
+    return WaveFunction(v.grid, 1j * _khat_cross(v.grid.khat, v.values), check=False)
 
 
 def _ladder_shift(e: VshExpansion, sign: int) -> VshExpansion:
@@ -112,11 +137,12 @@ def apply_J_squared(e: VshExpansion) -> VshExpansion:
 def apply_J3_azimuthal(v: WaveFunction) -> WaveFunction:
     """J3 = -i d/dphi + Sigma3 via FFT; exact for grid-resolved azimuthal content."""
     grid = v.grid
-    cube = v.values.reshape(grid.shape + (3,))
+    # channel-major copy, so each FFT runs along a contiguous phi axis
+    chans = np.ascontiguousarray(np.moveaxis(v.values.reshape(grid.shape + (3,)), -1, 0))
     mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi)
-    orb = np.fft.ifft(np.fft.fft(cube, axis=2) * mu[None, None, :, None], axis=2)
+    orb = np.fft.ifft(np.fft.fft(chans, axis=-1) * mu, axis=-1)
     return WaveFunction(
-        grid, orb.reshape(-1, 3) + sigma3(v.values), check=False
+        grid, np.moveaxis(orb, 0, -1).reshape(-1, 3) + sigma3(v.values), check=False
     )
 
 
@@ -248,7 +274,7 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
         [np.sum(grid.weights * dens * grid.kvec[:, j]) for j in range(3)]
     )
 
-    sv = [apply_S(ax, v) for ax in (1, 2, 3)]
+    sv, wv = _spin_actions(v)
     sam = np.array([inner_product(v, s).real for s in sv])
     second = np.empty((3, 3))
     for a in range(3):
@@ -257,7 +283,6 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
             second[a, b] = second[b, a] = val
     variance = second - np.outer(sam, sam)
 
-    wv = apply_W(v)
     helicity = inner_product(v, wv).real
 
     if l_max is None:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from photon_angmom import cli, synthesis
+from photon_angmom import cli, synthesis, verify
 from photon_angmom.cli import main
 
 
@@ -148,6 +148,26 @@ def test_nyquist_content_is_numerical_error(tmp_path, capsys):
     assert main(["mode", "--config", str(cfg), "--mode.m=9", "--grid.n_phi=24"]) == 0
 
 
+README_LG_MODE = {"kind": "vector_lg", "m": 2, "w": -1, "p": 1, "w0": 25.0, "k_fixed": 1.0}
+
+
+@pytest.mark.parametrize("n_phi", [5, 7])
+def test_odd_n_phi_aliasing_is_numerical_error(tmp_path, capsys, n_phi):
+    # m = 9, w = -1 puts order 10 on x, y: an odd n_phi has no Nyquist bin,
+    # so only the builders' order check stops the aliased J3
+    cfg = write_config(
+        tmp_path,
+        grid={"n_k": 8, "k_min": 0.94, "k_max": 1.06, "n_theta": 256, "n_phi": 12},
+        mode=README_LG_MODE,
+    )
+    argv = ["mode", "--config", str(cfg), "--mode.m=9", "--grid.n_theta=64",
+            f"--grid.n_phi={n_phi}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "n_phi" in err
+    assert "Traceback" not in err
+
+
 def test_override_flags_reach_nested_keys(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main([
@@ -188,12 +208,24 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
         ("mode", {}, ["--mode.radial_profile.sigma_k=0"], "sigma_k"),
         ("mode", {}, ["--mode.theta_profile.theta0=\"up\""], "theta0"),
         ("synth", {}, ["--mode.theta_profile.sigma_theta=-0.2"], "sigma_theta"),
+        ("mode", {"mode": README_LG_MODE},
+         ['--mode.theta_profile={"kind": "uniform_band"}'], "theta_profile"),
+        ("mode", {"mode": README_LG_MODE}, ["--mode.radial_profile.k0=1.0"], "k0"),
+        ("mode", {}, ["--mode.kappa=50"], "kappa"),
+        ("mode", {}, ["--mode.w0=20"], "w0"),
+        ("mode", {}, ["--mode.p=1"], "p"),
+        ("mode", {}, ["--mode.theta_profile.x_lo=-0.5"], "x_lo"),
+        ("mode", {}, ['--mode.theta_profile={"kind": "uniform_band", "sigma_theta": 0.2}'],
+         "sigma_theta"),
+        ("mode", {"mode": {"kind": "sam_wavepacket", "m": 2}}, [], "m"),
     ],
     ids=["missing", "unknown", "top-level-typo", "radial-not-object",
          "theta-not-object", "fractional-m", "bool-n_k", "string-n_phi",
          "string-l_max", "fractional-l_max", "fractional-n_x",
          "negative-sigma_theta", "zero-sigma_k", "string-theta0",
-         "synth-negative-sigma_theta"],
+         "synth-negative-sigma_theta", "lg-theta_profile", "lg-radial-k0",
+         "j3w-kappa", "j3w-w0", "j3w-p", "gaussian-x_lo", "band-sigma_theta",
+         "sam-m"],
 )
 def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
                                               overrides, key):
@@ -243,6 +275,31 @@ def test_verify_suite_rows_and_exit_code(tmp_path, capsys):
         assert row["pass"]
     assert any(row["check"] == "S.S=hbar2" and row["max_residual"] < 1e-13
                for row in rows)
+
+
+def test_verify_registry_runs_every_program(capsys):
+    # the fixed-state programs take the uniform seed argument too
+    assert main(["verify", "--suite", "never-eigenstate", "--seed", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["check"] for row in rows] == [
+        "S3_never_eigenstate_min_dispersion", "L3_never_eigenstate_min_dispersion"]
+    assert set(verify.SUITES) >= {"variance", "sam-convergence", "never-eigenstate"}
+
+
+def test_verify_all_prefixes_rows_by_suite(monkeypatch, capsys):
+    seen = []
+
+    def fake(name, ok):
+        def run(seed=0):
+            seen.append((name, seed))
+            return [{"check": "c", "max_residual": 0.0, "tolerance": 1.0, "pass": ok}]
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", {"a": fake("a", True), "b": fake("b", False)})
+    assert main(["verify", "--suite", "all", "--seed", "9"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["check"] for row in rows] == ["a/c", "b/c"]
+    assert seen == [("a", 9), ("b", 9)]
 
 
 def test_verify_unknown_suite(tmp_path, capsys):

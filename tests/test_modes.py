@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import (
@@ -12,7 +15,14 @@ from photon_angmom.modes import (
     theta_distribution,
 )
 from photon_angmom.operators import apply_J3_azimuthal, apply_S, apply_W, observable_report
-from photon_angmom.wavefunction import inner_product, norm, transverse_residual
+from photon_angmom.polarization import helicity_basis
+from photon_angmom.wavefunction import (
+    WaveFunction,
+    inner_product,
+    norm,
+    normalize,
+    transverse_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +63,80 @@ def test_mode_spec_roundtrip():
         ModeSpec.from_dict({"m": 1})
 
 
+def test_mode_spec_dict_holds_only_read_fields(lg_grid):
+    # to_dict writes the fields the kind reads, from_dict reads them back,
+    # and the rebuilt spec builds the same state
+    for spec in (
+        ModeSpec(kind="vector_lg", m=2, w=-1, p=1, w0=25.0),
+        ModeSpec(kind="j3_w_eigenstate", m=1, w=1, kappa=7.0,
+                 theta_profile={"kind": "uniform_band", "x_lo": 0.2, "theta0": 1.0}),
+        ModeSpec(kind="sam_wavepacket", w=-1, kappa=30.0, m=4),
+    ):
+        d = spec.to_dict()
+        back = ModeSpec.from_dict(d)
+        assert back.to_dict() == d
+        assert np.array_equal(build_mode(back, lg_grid).values,
+                              build_mode(spec, lg_grid).values)
+    assert set(ModeSpec(kind="vector_lg").to_dict()) == {
+        "kind", "m", "w", "p", "w0", "k_fixed", "radial_profile"}
+    assert ModeSpec(kind="vector_lg").to_dict()["radial_profile"] == {"sigma_k": 0.1}
+
+
+def _lg_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
+    """Vector LG samples evaluated node by node from the closed form."""
+    k, theta, phi = grid.k, grid.theta, grid.phi
+    am = abs(m - w)
+    rho = k * np.sin(theta)
+    u = 0.5 * w0 * w0 * rho * rho
+    norm_factor = (w0 / np.sqrt(2.0 * np.pi)) * np.exp(
+        0.5 * (gammaln(p + 1.0) - gammaln(p + am + 1.0))
+    )
+    radial = (w0 * rho / np.sqrt(2.0)) ** am * eval_genlaguerre(p, am, u) * np.exp(-0.5 * u)
+    profile = norm_factor * (1j**am) * radial * np.exp(1j * (m - w) * phi)
+    carrier = np.exp(-((k - k_fixed) ** 2) / (4.0 * sigma_k**2))
+    amp = profile * carrier * (theta <= 0.5 * np.pi).astype(float) / np.sqrt(2.0)
+    if w == 1:
+        cols = (amp, 1j * amp, -theta * np.exp(1j * phi) * amp)
+    else:
+        cols = (1j * amp, amp, -1j * theta * np.exp(-1j * phi) * amp)
+    return normalize(WaveFunction(grid, np.stack(cols, axis=1), check=False))
+
+
+@pytest.mark.parametrize("gs", [
+    GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=64, n_phi=12),
+    GridSpec(n_k=5, k_min=0.9, k_max=1.1, n_theta=33, n_phi=13),
+])
+def test_vector_lg_factor_axes_match_nodewise_closed_form(gs):
+    grid = build_grid(gs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # w0 = 10 is below the paraxial threshold
+        for m, w, p, w0, sigma_k in [(2, -1, 1, 25.0, 0.02), (-2, 1, 0, 20.0, 0.1),
+                                     (0, 1, 2, 45.0, 0.05), (3, -1, 0, 10.0, 0.03)]:
+            spec = ModeSpec(kind="vector_lg", m=m, w=w, p=p, w0=w0, k_fixed=1.0,
+                            radial_profile={"sigma_k": sigma_k})
+            want = _lg_nodewise(grid, m, w, p, w0, 1.0, sigma_k)
+            assert np.array_equal(build_vector_lg(spec, grid).values, want.values)
+
+
+@pytest.mark.parametrize("theta_profile", [
+    {"kind": "gaussian_in_theta", "theta0": 0.4, "sigma_theta": 0.3},
+    {"kind": "uniform_band", "x_lo": -0.3, "x_hi": 0.8},
+])
+def test_j3_w_factor_axes_match_nodewise_closed_form(grid, theta_profile):
+    for m, w in [(1, 1), (-2, -1), (3, 1)]:
+        spec = _j3w_spec(m, w, theta_profile)
+        g = np.exp(-((grid.k - 1.0) ** 2) / (4.0 * 0.12**2))
+        if theta_profile["kind"] == "uniform_band":
+            x = np.cos(grid.theta)
+            h = ((x >= -0.3) & (x <= 0.8)).astype(float)
+        else:
+            h = np.exp(-((grid.theta - 0.4) ** 2) / (4.0 * 0.3**2))
+        amp = g * h * np.exp(1j * (m - w) * grid.phi)
+        pol = helicity_basis(grid.khat)[0 if w == 1 else 1]
+        want = normalize(WaveFunction(grid, amp[:, None] * pol, check=False))
+        assert np.array_equal(build_j3_w_eigenstate(spec, grid).values, want.values)
+
+
 def test_j3_w_eigenstate_eigenvalues(grid):
     for m, w in [(1, 1), (0, -1), (3, 1), (-2, -1)]:
         v = build_j3_w_eigenstate(_j3w_spec(m, w), grid)
@@ -84,6 +168,29 @@ def test_j3_w_orthogonality(grid):
 def test_j3_w_rejects_coarse_azimuthal_grid(grid):
     with pytest.raises(ValueError):
         build_j3_w_eigenstate(_j3w_spec(8, 1), grid)
+
+
+@pytest.mark.parametrize("n_phi", [5, 7, 8, 20])
+def test_builders_reject_unresolved_azimuthal_orders(n_phi):
+    # vector_lg, m = 9, w = -1 carries the orders 10 (x, y) and 9 (z);
+    # j3_w_eigenstate, m = 9 the orders 8, 9, 10: both need n_phi >= 21
+    g = build_grid(GridSpec(n_k=3, k_min=0.9, k_max=1.1, n_theta=16, n_phi=n_phi))
+    lg = ModeSpec(kind="vector_lg", m=9, w=-1, p=0, w0=25.0, k_fixed=1.0)
+    with pytest.raises(ValueError, match="n_phi"):
+        build_vector_lg(lg, g)
+    with pytest.raises(ValueError, match="n_phi"):
+        build_j3_w_eigenstate(_j3w_spec(9, 1), g)
+
+
+@pytest.mark.parametrize("n_phi", [21, 22])
+def test_builders_resolve_orders_up_to_the_band_edge(n_phi):
+    # the highest order 10 fits both the odd and the even band: J3 stays exact
+    g = build_grid(GridSpec(n_k=4, k_min=0.9, k_max=1.1, n_theta=64, n_phi=n_phi))
+    for v, m in ((build_vector_lg(ModeSpec(kind="vector_lg", m=9, w=-1, p=0,
+                                           w0=25.0, k_fixed=1.0), g), 9),
+                 (build_j3_w_eigenstate(_j3w_spec(9, 1), g), 9),
+                 (build_j3_w_eigenstate(_j3w_spec(-9, -1), g), -9)):
+        assert norm(apply_J3_azimuthal(v) - float(m) * v) < 1e-11
 
 
 def test_theta_distribution_uniform(grid):

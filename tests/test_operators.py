@@ -3,6 +3,7 @@ import pytest
 
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.operators import (
+    _khat_cross,
     apply_J,
     apply_J3_azimuthal,
     apply_J_squared,
@@ -14,7 +15,7 @@ from photon_angmom.operators import (
     expansion_inner,
     observable_report,
 )
-from photon_angmom.polarization import helicity_basis
+from photon_angmom.polarization import helicity_basis, sigma3
 from photon_angmom.vsh import VshExpansion, analyze, synthesize
 from photon_angmom.wavefunction import (
     WaveFunction,
@@ -256,3 +257,67 @@ def test_observable_report_rejects_unnormalized(grid):
     v = random_state(grid, seed=12)
     with pytest.raises(ValueError):
         observable_report(2.0 * v)
+
+
+def test_khat_cross_matches_np_cross(grid):
+    rng = np.random.default_rng(3)
+    on_axis = grid.phi == 0.0
+    assert on_axis.any() and np.all(grid.khat[on_axis, 1] == 0.0)
+    for seed in (4, 5):
+        v = random_state(grid, seed=seed)
+        assert np.array_equal(_khat_cross(grid.khat, v.values),
+                              np.cross(grid.khat, v.values))
+    # arbitrary (not transverse) samples, with exact zeros on the phi = 0 nodes
+    raw = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+    raw[on_axis, 0] = 0.0
+    got = _khat_cross(grid.khat, raw)
+    assert np.array_equal(got, np.cross(grid.khat, raw))
+    assert np.array_equal(got[on_axis], np.cross(grid.khat[on_axis], raw[on_axis]))
+
+
+def test_J3_azimuthal_matches_strided_fft(grid):
+    # oracle: the FFT taken along the strided phi axis of the node-major cube
+    mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi)
+    for seed in (6, 7):
+        v = random_state(grid, seed=seed)
+        cube = v.values.reshape(grid.shape + (3,))
+        orb = np.fft.ifft(np.fft.fft(cube, axis=2) * mu[None, None, :, None], axis=2)
+        want = orb.reshape(-1, 3) + sigma3(v.values)
+        assert np.array_equal(apply_J3_azimuthal(v).values, want)
+
+
+def test_observable_report_spin_entries_match_apply_S_and_W(grid):
+    ep, em = helicity_basis(grid.khat)
+    g = np.exp(-((grid.k - 1.0) ** 2) / 0.08)
+    tilted = normalize(WaveFunction(
+        grid, (g * np.exp(1j * grid.phi))[:, None] * (ep + 0.3 * em), check=False))
+    for v in (random_state(grid, seed=13), tilted):
+        d = observable_report(v).to_dict()
+        sv = [apply_S(ax, v) for ax in (1, 2, 3)]
+        sam = np.array([inner_product(v, s).real for s in sv])
+        second = np.empty((3, 3))
+        for a in range(3):
+            for b in range(a, 3):
+                second[a, b] = second[b, a] = inner_product(sv[a], sv[b]).real
+        wv = apply_W(v)
+        helicity = inner_product(v, wv).real
+        j3v = apply_J3_azimuthal(v)
+        j3 = inner_product(v, j3v).real
+
+        def dispersion(ov, mean):
+            diff = ov.values - mean * v.values
+            return float(np.sqrt(np.sum(grid.weights * np.einsum(
+                "nc,nc->n", np.conj(diff), diff).real)))
+
+        assert d["sam"] == list(sam)
+        assert d["sam_second_moments"] == [list(row) for row in second]
+        assert d["sam_variance"] == [list(row) for row in second - np.outer(sam, sam)]
+        assert d["helicity"] == helicity
+        assert d["total_am"][2] == j3
+        assert d["oam"] == list(np.array(d["total_am"]) - sam)
+        assert d["eigen_residuals"] == {
+            "J3": dispersion(j3v, j3),
+            "W": dispersion(wv, helicity),
+            "S3": dispersion(sv[2], sam[2]),
+            "L3": dispersion(j3v - sv[2], j3 - sam[2]),
+        }
