@@ -5,25 +5,36 @@ Configuration is a JSON document loaded with --config and merged with
 ``--grid.n_phi=64`` replaces a single number inside the grid block.
 Override values are parsed as JSON with a plain-string fallback.
 
+Each config value is read by the rule for its field type
+(`photon_angmom.config`), the same rule the library constructors apply:
+integers (n_k, m, n_x, l_max, seed, ...) take an int or an integral
+float; numbers (k_min, kappa, w0, tolerances, ...) a finite int or float;
+lists of numbers (s_direction, origin, extents, times) finite entries,
+three for a vector; strings (kind, carrier) a string; profiles an object
+whose "kind" is a string and whose other entries are finite numbers.  A
+bool, a string where a number belongs, NaN or +-inf, a wrong length and a
+key no field reads are configuration errors.
+
 Exit codes: 0 success, 1 failed verification rows, 2 configuration error
 (the diagnostic names the offending key), 3 numerical failure (aliasing,
-violated tolerance).
+violated tolerance, a grid too large to build).
 
 Two runs with the same merged config produce byte-identical reports: keys
 are sorted, floats print through repr, and nothing records a timestamp.
 Every output file gains a ``<path>.meta.json`` sidecar holding the sha256
 of the canonical config and the library version.
 
-Recognized tolerances (config block "tolerances"):
+Recognized tolerances (config block "tolerances"); each gate passes only
+when the measured value is <= tol, so a NaN value fails it:
 
-    mode_norm             built mode must satisfy | ||v|| - 1 | < tol
+    mode_norm             built mode must satisfy | ||v|| - 1 | <= tol
                           (default 1e-10)
-    transversality        require transverse_residual(v) < tol (off by
+    transversality        require transverse_residual(v) <= tol (off by
                           default; paraxial modes carry real residual)
-    j3_eigen_residual     require report.eigen_residuals["J3"] < tol
+    j3_eigen_residual     require report.eigen_residuals["J3"] <= tol
     com_convergence_shift synth only: relative shift of the real-space
                           constants of motion under box growth must stay
-                          below tol
+                          within tol
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ import json
 import sys
 
 from . import __version__
-from .grid import GridSpec, build_grid, strict_int
+from .config import finite_real, strict_int, string
+from .grid import GridSpec, build_grid
 from .modes import ModeSpec, build_mode
 from .operators import azimuthal_support, observable_report
 from .synthesis import (
@@ -49,8 +61,6 @@ from .vsh import analyze
 from .wavefunction import norm, transverse_residual
 
 TOP_LEVEL_KEYS = {"grid", "mode", "lattice", "outputs", "tolerances", "seed", "suite"}
-GRID_KEYS = {"n_k", "k_min", "k_max", "n_theta", "n_phi"}
-LATTICE_KEYS = {"origin", "extents", "n_x", "n_y", "n_z", "times"}
 OUTPUT_KEYS = {"kind", "path", "l_max"}
 OUTPUT_KINDS = {"report", "wavefunction", "expansion", "fields"}
 TOLERANCE_KEYS = {"mode_norm", "transversality", "j3_eigen_residual",
@@ -80,7 +90,7 @@ def load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, bad UTF-8, an over-long integer
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -99,7 +109,7 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
             raise ConfigError(f"empty key in override {token!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = cfg
         parts = dotted.split(".")
@@ -137,30 +147,13 @@ def _require(cfg: dict, key: str) -> dict:
     return section
 
 
-def parse_grid(cfg: dict) -> GridSpec:
-    section = _require(cfg, "grid")
-    _check_keys(section, GRID_KEYS, "grid")
+def _parse_section(cfg: dict, key: str, cls):
+    """The spec `cls` read from config section `key`."""
+    section = _require(cfg, key)
     try:
-        return GridSpec.from_dict(section)
+        return cls.from_dict(section)
     except (KeyError, ValueError) as err:
-        raise ConfigError(f"grid: {_msg(err)}") from None
-
-
-def parse_mode(cfg: dict) -> ModeSpec:
-    section = _require(cfg, "mode")
-    try:
-        return ModeSpec.from_dict(section)
-    except (KeyError, ValueError, TypeError) as err:
-        raise ConfigError(f"mode: {_msg(err)}") from None
-
-
-def parse_lattice(cfg: dict) -> SpaceTimeLattice:
-    section = _require(cfg, "lattice")
-    _check_keys(section, LATTICE_KEYS, "lattice")
-    try:
-        return SpaceTimeLattice.from_dict(section)
-    except (KeyError, ValueError, TypeError) as err:
-        raise ConfigError(f"lattice: {_msg(err)}") from None
+        raise ConfigError(f"{key}: {_msg(err)}") from None
 
 
 def parse_outputs(cfg: dict, valid_kinds: set, command: str) -> list:
@@ -176,14 +169,18 @@ def parse_outputs(cfg: dict, valid_kinds: set, command: str) -> list:
             if needed not in entry:
                 raise ConfigError(f"output entry missing key {needed!r}")
         kind, path = entry["kind"], entry["path"]
-        if kind not in OUTPUT_KINDS:
-            raise ConfigError(f"unknown output kind {kind!r}")
+        if not isinstance(kind, str) or kind not in OUTPUT_KINDS:
+            raise ConfigError(
+                f"output 'kind' must be one of {sorted(OUTPUT_KINDS)}, got {kind!r}"
+            )
         if kind not in valid_kinds:
             raise ConfigError(
                 f"output kind {kind!r} is not supported by the {command} command"
             )
         if not isinstance(path, str) or not path:
             raise ConfigError(f"output path for kind {kind!r} must be a string")
+        if "l_max" in entry and kind != "expansion":
+            raise ConfigError(f"output key 'l_max' is not read by kind {kind!r}")
         outputs.append(dict(entry))
     return outputs
 
@@ -194,19 +191,18 @@ def parse_tolerances(cfg: dict) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("config key 'tolerances' must be an object")
     _check_keys(section, TOLERANCE_KEYS, "tolerance")
-    for key, value in section.items():
-        try:
-            tol[key] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"tolerance {key!r} must be a number") from None
+    try:
+        tol.update({key: finite_real(value, key) for key, value in section.items()})
+    except ValueError as err:
+        raise ConfigError(f"tolerances: {err}") from None
     return tol
 
 
 def parse_seed(cfg: dict) -> int:
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config key 'seed' must be an integer")
-    return seed
+    try:
+        return strict_int(cfg.get("seed", 0), "seed")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _msg(err: Exception) -> str:
@@ -296,8 +292,20 @@ def write_expansion_json(v, path: str, l_max: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _gate(tolerances: dict, key: str, what: str, value: float) -> None:
+    """Fail unless value <= tolerances[key] (when set); NaN fails."""
+    if key in tolerances and not value <= tolerances[key]:
+        raise NumericalError(
+            f"{what} {value:.3e} is not within tolerance {key!r} "
+            f"({tolerances[key]:.3e})"
+        )
+
+
 def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: dict):
-    grid = build_grid(grid_spec)
+    try:
+        grid = build_grid(grid_spec)
+    except (ValueError, OverflowError, MemoryError) as err:
+        raise NumericalError(f"grid construction failed for {grid_spec}: {err}") from None
     try:
         v = build_mode(mode_spec, grid)
     except (ValueError, FloatingPointError) as err:
@@ -309,19 +317,10 @@ def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: di
             f"mode has azimuthal content at the Nyquist bin of n_phi = {n_phi}, "
             "so its azimuthal orders alias; raise n_phi"
         )
-    norm_dev = abs(norm(v) - 1.0)
-    if norm_dev > tolerances["mode_norm"]:
-        raise NumericalError(
-            f"mode norm off by {norm_dev:.3e} (tolerance mode_norm "
-            f"{tolerances['mode_norm']:.3e})"
-        )
+    _gate(tolerances, "mode_norm", "mode norm deviation", abs(norm(v) - 1.0))
     if "transversality" in tolerances:
-        res = transverse_residual(v)
-        if res > tolerances["transversality"]:
-            raise NumericalError(
-                f"transversality residual {res:.3e} exceeds "
-                f"{tolerances['transversality']:.3e}"
-            )
+        _gate(tolerances, "transversality", "transversality residual",
+              transverse_residual(v))
     return v
 
 
@@ -329,21 +328,16 @@ def cmd_mode(cfg: dict) -> int:
     _check_keys(cfg, TOP_LEVEL_KEYS, "config")
     tolerances = parse_tolerances(cfg)
     parse_seed(cfg)
-    grid_spec = parse_grid(cfg)
-    mode_spec = parse_mode(cfg)
+    grid_spec = _parse_section(cfg, "grid", GridSpec)
+    mode_spec = _parse_section(cfg, "mode", ModeSpec)
     outputs = parse_outputs(cfg, {"report", "wavefunction", "expansion"}, "mode")
     for entry in outputs:
         if entry["kind"] == "expansion":
             entry["l_max"] = _expansion_l_max(grid_spec, entry)
     v = _build_checked_mode(grid_spec, mode_spec, tolerances)
     report = observable_report(v)
-    if "j3_eigen_residual" in tolerances:
-        res = report.eigen_residuals["J3"]
-        if res > tolerances["j3_eigen_residual"]:
-            raise NumericalError(
-                f"J3 eigen-residual {res:.3e} exceeds "
-                f"{tolerances['j3_eigen_residual']:.3e}"
-            )
+    _gate(tolerances, "j3_eigen_residual", "J3 eigen-residual",
+          report.eigen_residuals["J3"])
     digest = config_hash(cfg)
     if not outputs:
         sys.stdout.write(report_json(report))
@@ -368,7 +362,7 @@ def cmd_verify(cfg: dict) -> int:
     seed = parse_seed(cfg)
     outputs = parse_outputs(cfg, {"report"}, "verify")
     try:
-        rows = run_suite(suite, seed=seed)
+        rows = run_suite(string(suite, "suite"), seed=seed)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
@@ -384,9 +378,9 @@ def cmd_synth(cfg: dict) -> int:
     _check_keys(cfg, TOP_LEVEL_KEYS, "config")
     tolerances = parse_tolerances(cfg)
     parse_seed(cfg)
-    grid_spec = parse_grid(cfg)
-    mode_spec = parse_mode(cfg)
-    lattice = parse_lattice(cfg)
+    grid_spec = _parse_section(cfg, "grid", GridSpec)
+    mode_spec = _parse_section(cfg, "mode", ModeSpec)
+    lattice = _parse_section(cfg, "lattice", SpaceTimeLattice)
     if len(lattice.times) != 1:
         raise ConfigError(
             "synth writes one snapshot: lattice.times must hold exactly one "
@@ -401,13 +395,9 @@ def cmd_synth(cfg: dict) -> int:
     except ValueError as err:
         raise NumericalError(str(err)) from None
     if "com_convergence_shift" in tolerances:
-        shift = com_convergence_shift(v, snapshot)
-        if shift > tolerances["com_convergence_shift"]:
-            raise NumericalError(
-                f"constants of motion shift by {shift:.3e} under box growth "
-                f"(tolerance {tolerances['com_convergence_shift']:.3e}); "
-                "the lattice does not contain the packet"
-            )
+        _gate(tolerances, "com_convergence_shift",
+              "constants-of-motion shift under box growth",
+              com_convergence_shift(v, snapshot))
     digest = config_hash(cfg)
     for entry in outputs:
         path = entry["path"]

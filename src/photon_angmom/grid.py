@@ -12,10 +12,11 @@ Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import Spec, coerce_fields
 
 __all__ = [
     "GridSpec",
@@ -23,25 +24,11 @@ __all__ = [
     "build_grid",
     "integrate",
     "angular_integrate",
-    "strict_int",
 ]
 
 
-def strict_int(value, key: str) -> int:
-    """An integer config value: an int or an integral float.
-
-    Bools, fractions and strings raise a ValueError naming `key`, where
-    int() would read them or truncate them silently.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key!r} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Spec):
     """Grid resolution and radial support.
 
     Parameters
@@ -64,36 +51,15 @@ class GridSpec:
     n_phi: int
 
     def __post_init__(self):
+        coerce_fields(self)
         if self.n_k < 1:
-            raise ValueError("n_k must be >= 1")
+            raise ValueError("'n_k' must be >= 1")
         if self.n_theta < 2:
-            raise ValueError("n_theta must be >= 2")
+            raise ValueError("'n_theta' must be >= 2")
         if self.n_phi < 4:
-            raise ValueError("n_phi must be >= 4")
+            raise ValueError("'n_phi' must be >= 4")
         if not (0.0 < self.k_min < self.k_max):
-            raise ValueError("require 0 < k_min < k_max")
-
-    def to_dict(self):
-        return {
-            "n_k": self.n_k,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "n_theta": self.n_theta,
-            "n_phi": self.n_phi,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            return cls(
-                n_k=strict_int(d["n_k"], "n_k"),
-                k_min=float(d["k_min"]),
-                k_max=float(d["k_max"]),
-                n_theta=strict_int(d["n_theta"], "n_theta"),
-                n_phi=strict_int(d["n_phi"], "n_phi"),
-            )
-        except KeyError as err:
-            raise KeyError(f"grid spec missing key {err.args[0]!r}") from None
+            raise ValueError("'k_min' and 'k_max' require 0 < k_min < k_max")
 
 
 class WaveVectorGrid:

@@ -46,14 +46,14 @@ FFT over n_phi nodes would fold them onto other orders.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .grid import WaveVectorGrid, strict_int
+from .config import Profile, Spec, Vec3, coerce_fields, string
+from .grid import WaveVectorGrid
 from .polarization import eps_plus, helicity_basis
 from .wavefunction import WaveFunction, normalize, project_transverse
 
@@ -89,7 +89,6 @@ _KIND_KEYS = {
         "radial_profile": ("sigma_k",),
     },
 }
-_KINDS = tuple(_KIND_KEYS)
 
 
 def _profile_keys(kind: str, profile: str, value: dict):
@@ -102,20 +101,18 @@ def _profile_keys(kind: str, profile: str, value: dict):
     return read
 
 
-# Numeric fields of the profile sub-dicts, checked when a ModeSpec is made.
-_PROFILE_NUMBERS = {
-    "radial_profile": ("k0", "sigma_k"),
-    "theta_profile": ("theta0", "sigma_theta", "x_lo", "x_hi"),
-}
 _POSITIVE = ("sigma_k", "sigma_theta")
 PARAXIAL_WARN_THRESHOLD = 20.0
 
 
 @dataclass
-class ModeSpec:
+class ModeSpec(Spec):
     """Declarative mode description; every free function is pinned down.
 
-    Fields are interpreted per kind:
+    Each field coerces itself by its type (`config.coerce_fields`): m, w
+    and p are integers, kappa, w0 and k_fixed finite numbers, s_direction
+    three finite numbers, and each profile an object whose entries other
+    than "kind" are finite numbers.  Fields are interpreted per kind:
 
     j3_w_eigenstate: m, w, radial_profile {k0, sigma_k},
         theta_profile {kind: gaussian_in_theta, theta0, sigma_theta}
@@ -134,52 +131,39 @@ class ModeSpec:
     m: int = 0
     w: int = 1
     p: int = 0
-    s_direction: tuple = (0.0, 0.0, 1.0)
+    s_direction: Vec3 = (0.0, 0.0, 1.0)
     kappa: float = 100.0
-    radial_profile: dict = field(default_factory=lambda: {"k0": 1.0, "sigma_k": 0.1})
-    theta_profile: dict = field(default_factory=lambda: {"kind": "uniform_band"})
+    radial_profile: Profile = field(default_factory=lambda: {"k0": 1.0, "sigma_k": 0.1})
+    theta_profile: Profile = field(default_factory=lambda: {"kind": "uniform_band"})
     w0: float = 25.0
     k_fixed: float = 1.0
     carrier: str = "helicity"
 
     def __post_init__(self):
-        for key in ("radial_profile", "theta_profile"):
-            if not isinstance(getattr(self, key), dict):
-                raise ValueError(
-                    f"{key!r} must be an object, got {getattr(self, key)!r}"
-                )
-        for profile, keys in _PROFILE_NUMBERS.items():
-            values = getattr(self, profile)
-            for key in keys:
-                if key not in values:
-                    continue
-                value = values[key]
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not np.isfinite(value)):
-                    raise ValueError(
-                        f"{key!r} in {profile} must be a finite number, got {value!r}"
-                    )
+        coerce_fields(self)
+        for profile in ("radial_profile", "theta_profile"):
+            for key, value in getattr(self, profile).items():
                 if key in _POSITIVE and value <= 0.0:
                     raise ValueError(
                         f"{key!r} in {profile} must be positive, got {value!r}"
                     )
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.w not in (1, -1):
-            raise ValueError("helicity w must be +1 or -1")
+            raise ValueError("helicity 'w' must be +1 or -1")
         if self.p < 0:
-            raise ValueError("radial index p must be >= 0")
+            raise ValueError("radial index 'p' must be >= 0")
         if self.kind == "sam_wavepacket":
             if self.kappa <= 0.0:
-                raise ValueError("kappa must be positive")
+                raise ValueError("'kappa' must be positive")
             s = np.asarray(self.s_direction, dtype=float)
             if np.linalg.norm(s) == 0.0:
-                raise ValueError("s_direction must be a nonzero vector")
+                raise ValueError("'s_direction' must be a nonzero vector")
             if self.carrier not in ("helicity", "projected"):
-                raise ValueError("carrier must be 'helicity' or 'projected'")
+                raise ValueError("'carrier' must be 'helicity' or 'projected'")
         if self.kind in ("j3_w_eigenstate", "sam_wavepacket"):
-            k0 = float(self.radial_profile.get("k0", 0.0))
-            sk = float(self.radial_profile.get("sigma_k", 0.0))
+            k0 = self.radial_profile.get("k0", 0.0)
+            sk = self.radial_profile.get("sigma_k", 0.0)
             if not (0.0 < sk < k0):
                 raise ValueError("radial profile requires 0 < sigma_k < k0")
         if self.kind == "j3_w_eigenstate":
@@ -188,29 +172,28 @@ class ModeSpec:
                 raise ValueError(f"unknown theta profile kind {kind!r}")
         if self.kind == "vector_lg":
             if self.w0 <= 0.0 or self.k_fixed <= 0.0:
-                raise ValueError("vector_lg requires positive w0 and k_fixed")
+                raise ValueError("vector_lg requires positive 'w0' and 'k_fixed'")
             if self.w0 * self.k_fixed <= 2.0 * np.pi:
                 raise ValueError(
                     "vector_lg is only meaningful for w0 * k_fixed well above 2 pi"
                 )
 
     def to_dict(self):
+        full = super().to_dict()
         d = {"kind": self.kind}
-        for key in _KIND_KEYS[self.kind]:
-            value = getattr(self, key)
-            if _KIND_KEYS[self.kind][key] is not None:
-                read = _profile_keys(self.kind, key, value)
-                value = {k: v for k, v in value.items() if k in read}
-            elif key == "s_direction":
-                value = list(value)
+        for key, read in _KIND_KEYS[self.kind].items():
+            value = full[key]
+            if read is not None:
+                keep = _profile_keys(self.kind, key, value)
+                value = {k: v for k, v in value.items() if k in keep}
             d[key] = value
         return d
 
     @classmethod
     def from_dict(cls, d):
         if "kind" not in d:
-            raise KeyError("mode spec missing key 'kind'")
-        kind = str(d["kind"])
+            raise KeyError("missing key 'kind'")
+        kind = string(d["kind"], "kind")
         if kind not in _KIND_KEYS:
             raise ValueError(f"unknown mode kind {kind!r}")
         table = _KIND_KEYS[kind]
@@ -231,14 +214,7 @@ class ModeSpec:
                     + (f" with a {d[key]['kind']!r} profile"
                        if isinstance(table[key], dict) else "")
                 )
-        kwargs = {k: d[k] for k in d}
-        kwargs["kind"] = kind
-        for intkey in ("m", "w", "p"):
-            if intkey in kwargs:
-                kwargs[intkey] = strict_int(kwargs[intkey], intkey)
-        if "s_direction" in kwargs:
-            kwargs["s_direction"] = tuple(float(c) for c in kwargs["s_direction"])
-        return cls(**kwargs)
+        return super().from_dict(d)
 
 
 def _radial_gaussian(k, k0, sigma_k):
@@ -250,12 +226,12 @@ def _theta_amplitude(spec: ModeSpec, theta):
     prof = spec.theta_profile
     kind = prof.get("kind")
     if kind == "gaussian_in_theta":
-        theta0 = float(prof.get("theta0", 0.0))
-        sigma = float(prof.get("sigma_theta", 0.3))
+        theta0 = prof.get("theta0", 0.0)
+        sigma = prof.get("sigma_theta", 0.3)
         return np.exp(-((theta - theta0) ** 2) / (4.0 * sigma**2))
     if kind == "uniform_band":
-        x_lo = float(prof.get("x_lo", -1.0))
-        x_hi = float(prof.get("x_hi", 1.0))
+        x_lo = prof.get("x_lo", -1.0)
+        x_hi = prof.get("x_hi", 1.0)
         if not (-1.0 <= x_lo < x_hi <= 1.0):
             raise ValueError("uniform band requires -1 <= x_lo < x_hi <= 1")
         x = np.cos(theta)
@@ -427,7 +403,7 @@ def build_vector_lg(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     k, theta, phi = _factor_axes(grid)
     rho = k * np.sin(theta)
     profile = scalar_lg(m - w, spec.p, spec.w0, rho, phi)
-    sigma_k = float(spec.radial_profile.get("sigma_k", spec.k_fixed / 50.0))
+    sigma_k = spec.radial_profile.get("sigma_k", spec.k_fixed / 50.0)
     carrier = _radial_gaussian(k, spec.k_fixed, sigma_k)
     forward = (theta <= 0.5 * np.pi).astype(float)
     amp = profile * carrier * forward / np.sqrt(2.0)

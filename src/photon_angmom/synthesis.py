@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import strict_int
+from .config import Reals, Spec, Vec3, coerce_fields
 from .operators import observable_report
 from .wavefunction import WaveFunction, norm
 
@@ -78,30 +78,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpaceTimeLattice:
+class SpaceTimeLattice(Spec):
     """Regular x-lattice plus sample times.
 
     Axes run from origin[j] to origin[j] + extents[j] inclusive, so the
     spacing along axis j is extents[j] / (n_j - 1).
     """
 
-    origin: tuple
-    extents: tuple
+    origin: Vec3
+    extents: Vec3
     n_x: int
     n_y: int
     n_z: int
-    times: tuple = (0.0,)
+    times: Reals = (0.0,)
 
     def __post_init__(self):
+        coerce_fields(self)
         if min(self.n_x, self.n_y, self.n_z) < 2:
-            raise ValueError("lattice needs at least 2 sites per axis")
-        if len(self.origin) != 3 or len(self.extents) != 3:
-            raise ValueError("origin and extents must be 3-vectors")
+            raise ValueError("'n_x', 'n_y' and 'n_z' must be >= 2")
         if min(self.extents) <= 0.0:
-            raise ValueError("extents must be positive")
-        object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        object.__setattr__(self, "extents", tuple(float(c) for c in self.extents))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+            raise ValueError("'extents' must be positive")
 
     @property
     def shape(self):
@@ -120,30 +116,6 @@ class SpaceTimeLattice:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-    def to_dict(self):
-        return {
-            "origin": list(self.origin),
-            "extents": list(self.extents),
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "n_z": self.n_z,
-            "times": list(self.times),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            return cls(
-                origin=tuple(d["origin"]),
-                extents=tuple(d["extents"]),
-                n_x=strict_int(d["n_x"], "n_x"),
-                n_y=strict_int(d["n_y"], "n_y"),
-                n_z=strict_int(d["n_z"], "n_z"),
-                times=tuple(d.get("times", (0.0,))),
-            )
-        except KeyError as err:
-            raise KeyError(f"lattice spec missing key {err.args[0]!r}") from None
 
 
 def cube_lattice(k0: float, side_wavelengths: float = 8.0, n: int = 64,

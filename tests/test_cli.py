@@ -149,6 +149,8 @@ def test_nyquist_content_is_numerical_error(tmp_path, capsys):
 
 
 README_LG_MODE = {"kind": "vector_lg", "m": 2, "w": -1, "p": 1, "w0": 25.0, "k_fixed": 1.0}
+SAM_MODE = {"kind": "sam_wavepacket", "w": 1, "s_direction": [0, 0, 1], "kappa": 20.0,
+            "radial_profile": {"k0": 1.0, "sigma_k": 0.2}}
 
 
 @pytest.mark.parametrize("n_phi", [5, 7])
@@ -218,6 +220,32 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
         ("mode", {}, ['--mode.theta_profile={"kind": "uniform_band", "sigma_theta": 0.2}'],
          "sigma_theta"),
         ("mode", {"mode": {"kind": "sam_wavepacket", "m": 2}}, [], "m"),
+        ("mode", {}, ["--grid.k_min=true"], "k_min"),
+        ("mode", {}, ["--grid.k_max=Infinity"], "k_max"),
+        ("mode", {"mode": README_LG_MODE}, ["--mode.k_fixed=NaN"], "k_fixed"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=[0,NaN,1]"], "s_direction"),
+        ("synth", {}, ["--tolerances.com_convergence_shift=NaN"],
+         "com_convergence_shift"),
+        ("synth", {}, ["--lattice.times=[NaN]"], "times"),
+        ("synth", {}, ["--lattice.origin=[0,0,NaN]"], "origin"),
+        ("synth", {}, ["--lattice.extents=[10,10,true]"], "extents"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.kappa=true"], "kappa"),
+        ("mode", {"mode": README_LG_MODE}, ["--mode.w0=abc"], "w0"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=5"], "s_direction"),
+        ("synth", {}, ["--lattice.times=5"], "times"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=[0,1]"], "s_direction"),
+        ("mode", {}, ["--grid.k_max=null"], "k_max"),
+        ("mode", {}, ["--grid.bogus=1"], "bogus"),
+        ("synth", {}, ["--lattice.bogus=1"], "bogus"),
+        ("mode", {}, ["--tolerances.mode_norm=true"], "mode_norm"),
+        ("mode", {}, ["--seed=1.5"], "seed"),
+        ("mode", {}, ["--mode.kind=5"], "kind"),
+        ("mode", {"outputs": [{"kind": "report", "path": "r.json", "l_max": 3}]},
+         [], "l_max"),
+        ("synth", {}, ['--outputs=[{"kind": "fields", "path": "f.bin", "l_max": 3}]'],
+         "l_max"),
+        ("mode", {"outputs": [{"kind": [1], "path": "r.json"}]}, [], "kind"),
+        ("verify", {"suite": [1]}, [], "suite"),
     ],
     ids=["missing", "unknown", "top-level-typo", "radial-not-object",
          "theta-not-object", "fractional-m", "bool-n_k", "string-n_phi",
@@ -225,7 +253,12 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
          "negative-sigma_theta", "zero-sigma_k", "string-theta0",
          "synth-negative-sigma_theta", "lg-theta_profile", "lg-radial-k0",
          "j3w-kappa", "j3w-w0", "j3w-p", "gaussian-x_lo", "band-sigma_theta",
-         "sam-m"],
+         "sam-m", "bool-k_min", "inf-k_max", "nan-k_fixed", "nan-s_direction",
+         "nan-com-tolerance", "nan-times", "nan-origin", "bool-extents",
+         "bool-kappa", "string-w0", "scalar-s_direction", "scalar-times",
+         "short-s_direction", "null-k_max", "grid-unknown", "lattice-unknown",
+         "bool-tolerance", "fractional-seed", "int-kind", "report-l_max",
+         "fields-l_max", "list-output-kind", "list-suite"],
 )
 def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
                                               overrides, key):
@@ -242,6 +275,9 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
 def test_unparseable_config_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ this is not json")
+    assert main(["mode", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    path.write_bytes(b'{"grid": "\xff"}')  # not UTF-8
     assert main(["mode", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
 
@@ -264,6 +300,34 @@ def test_tolerance_gate_maps_to_exit_3(tmp_path, capsys):
     ok = write_config(tmp_path, tolerances={"j3_eigen_residual": 1e-10,
                                             "transversality": 1e-10})
     assert main(["mode", "--config", str(ok)]) == 0
+
+
+@pytest.mark.parametrize(
+    "mode, override, needle",
+    [
+        (None, "--grid.k_max=1e200", "mode_norm"),
+        (None, "--grid.k_max=3.45e159", "mode_norm"),
+        (README_LG_MODE, "--mode.w0=1e300", "mode_norm"),
+        # integral, so a valid integer, but far beyond any allocation
+        (None, "--grid.n_phi=2e90", "n_phi"),
+    ],
+    ids=["k_max-1e200", "k_max-3.45e159", "w0-1e300", "n_phi-2e90"],
+)
+def test_nan_gate_and_unbuildable_grid_map_to_exit_3(tmp_path, capsys, mode,
+                                                     override, needle):
+    # finite inputs whose mode norm overflows to NaN must fail the norm gate
+    cfg = write_config(tmp_path, **({"mode": mode} if mode else {}))
+    with np.errstate(all="ignore"):
+        assert main(["mode", "--config", str(cfg), override]) == 3
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_integral_float_seed_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, seed=1.0)
+    assert main(["mode", "--config", str(cfg)]) == 0
 
 
 def test_verify_suite_rows_and_exit_code(tmp_path, capsys):

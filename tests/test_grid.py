@@ -39,6 +39,12 @@ def test_spec_roundtrip():
         GridSpec.from_dict({"n_k": 8})
 
 
+def test_spec_constructor_shares_the_config_checks():
+    # the library constructor runs the same typed coercion as from_dict
+    with pytest.raises(ValueError, match="'k_max'"):
+        GridSpec(n_k=8, k_min=0.5, k_max=float("inf"), n_theta=6, n_phi=12)
+
+
 def test_node_order(grid):
     # radial-major order: index = (ik*n_theta + ith)*n_phi + iph
     spec = grid.spec
