@@ -44,6 +44,8 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .config import finite_real, strict_int, string
 from .grid import GridSpec, build_grid
@@ -454,7 +456,10 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             cfg["seed"] = args.seed
         apply_overrides(cfg, extra)
-        return _COMMANDS[args.command](cfg)
+        # the NaN-safe gates report a numerical failure in one line (exit 3),
+        # so numpy's floating-point warnings would only repeat it as noise
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,10 +13,12 @@ Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import Spec, coerce_fields
+from .polarization import helicity_basis
 
 __all__ = [
     "GridSpec",
@@ -24,7 +26,36 @@ __all__ = [
     "build_grid",
     "integrate",
     "angular_integrate",
+    "legendre_normalized",
 ]
+
+
+def legendre_normalized(l_max: int, x):
+    """Normalized associated Legendre table P[l, m, i] at points x.
+
+    P[l, m] carries the full spherical-harmonic normalization and
+    Condon-Shortley sign, so Y_lm(theta, phi) = P[l, m](cos theta) e^{i m phi}
+    for m >= 0.  Entries with m > l are zero.
+    """
+    x = np.asarray(x, dtype=float)
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
+    out = np.zeros((l_max + 1, l_max + 1) + x.shape)
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    # diagonal: P_mm = (-1)^m sqrt((2m+1)/(4 pi) * (2m-1)!!/(2m)!!) (1-x^2)^{m/2}
+    pmm = np.full(x.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    out[0, 0] = pmm
+    for m in range(1, l_max + 1):
+        pmm = -pmm * np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx
+        out[m, m] = pmm
+    # first off-diagonal, then the three-term recurrence upward in l
+    for m in range(0, l_max):
+        out[m + 1, m] = x * np.sqrt(2.0 * m + 3.0) * out[m, m]
+        for l in range(m + 2, l_max + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            out[l, m] = a * (x * out[l - 1, m] - b * out[l - 2, m])
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,6 +115,8 @@ class WaveVectorGrid:
         Solid-angle weights; they sum to 4*pi.
     radial_weights : ndarray, shape (n_k,)
         Radial weights including the k^2 Jacobian.
+    helicity_basis : ndarray, shape (2, n_theta, n_phi, 3)
+        eps_plus and eps_minus on the angular nodes, built on first use.
     """
 
     def __init__(self, spec: GridSpec):
@@ -123,7 +156,26 @@ class WaveVectorGrid:
         self.kvec = self.k[:, None] * self.khat
         self.n_nodes = self.k.size
         self.shape = (spec.n_k, spec.n_theta, spec.n_phi)
-        self._cache = {}
+        self._legendre = None
+
+    @cached_property
+    def helicity_basis(self):
+        """(eps_plus, eps_minus) on the angular nodes, shape (2, n_theta, n_phi, 3).
+
+        The basis depends on the direction only, so it is evaluated on the
+        first radial shell; broadcast over k it equals
+        polarization.helicity_basis(khat) node by node, bit for bit.
+        """
+        n_ang = self.spec.n_theta * self.spec.n_phi
+        pair = np.stack(helicity_basis(self.khat[:n_ang]))
+        return pair.reshape((2,) + self.shape[1:] + (3,))
+
+    def legendre(self, l_max: int):
+        """legendre_normalized table on the polar nodes holding at least
+        degree and order l_max; grown on demand and kept."""
+        if self._legendre is None or self._legendre.shape[0] <= l_max:
+            self._legendre = legendre_normalized(l_max, self.x_nodes)
+        return self._legendre
 
     def node_fields(self, values):
         """Reshape flat node samples to (n_k, n_theta, n_phi, ...)."""

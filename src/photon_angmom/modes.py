@@ -37,7 +37,8 @@ on grid.k_nodes, grid.theta_nodes and grid.phi_nodes shaped (n_k, 1, 1),
 (n_k, n_theta, n_phi) products in the same association order as a
 node-by-node evaluation, so the samples are bit-identical to it.  The
 scalar LG closed form, for one, runs on n_k * n_theta nodes, not on
-n_k * n_theta * n_phi.
+n_k * n_theta * n_phi.  The helicity vectors come from the grid's
+`helicity_basis`, evaluated once per angular node and broadcast over k.
 
 Each builder carries a finite set of azimuthal orders in its Cartesian
 components and refuses a grid whose n_phi cannot resolve them, since an
@@ -54,7 +55,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .config import Profile, Spec, Vec3, coerce_fields, string
 from .grid import WaveVectorGrid
-from .polarization import eps_plus, helicity_basis
+from .polarization import eps_plus
 from .wavefunction import WaveFunction, normalize, project_transverse
 
 __all__ = [
@@ -271,15 +272,15 @@ def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     m, w = spec.m, spec.w
     # e^{i (m - w) phi} eps^(w) carries the Cartesian orders m - 1, m, m + 1
     _check_azimuthal_orders(grid, m - w, m + w)
-    ep, em = helicity_basis(grid.khat)
-    pol = ep if w == 1 else em
+    pol = grid.helicity_basis[0 if w == 1 else 1]
     k, theta, phi = _factor_axes(grid)
     amp = (
         _radial_gaussian(k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])
         * _theta_amplitude(spec, theta)
         * np.exp(1j * (m - w) * phi)
     )
-    return normalize(WaveFunction(grid, amp.reshape(-1, 1) * pol, check=False))
+    vals = amp[..., None] * pol
+    return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
 
 
 @dataclass
@@ -359,11 +360,10 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
         grid.k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"]
     )
     if spec.carrier == "helicity":
-        ep, em = helicity_basis(grid.khat)
-        pol = ep if spec.w == 1 else em
-        amp = np.einsum("nc,c->n", np.conj(pol), carrier_vec)
-        vals = (g * kernel * amp)[:, None] * pol
-        return normalize(WaveFunction(grid, vals, check=False))
+        pol = grid.helicity_basis[0 if spec.w == 1 else 1]
+        amp = np.einsum("tpc,c->tp", np.conj(pol), carrier_vec)
+        vals = grid.node_fields(g * kernel)[..., None] * amp[..., None] * pol
+        return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
     return normalize(project_transverse(grid, (g * kernel)[:, None] * carrier_vec))
 
 

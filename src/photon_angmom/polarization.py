@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eps_plus", "eps_minus", "helicity_basis", "sigma3"]
+__all__ = ["eps_plus", "eps_plus_angles", "eps_minus", "helicity_basis", "sigma3"]
 
 _POLE_TOL = 1e-12
 
@@ -43,16 +43,29 @@ def _angles(direction):
     return ct, st, phi, squeeze
 
 
+def eps_plus_angles(ct, st, phi):
+    """eps_plus from cos(theta), sin(theta) and phi, components on a last axis.
+
+    Defined at every (theta, phi), theta = pi included, where it is the
+    limit along the meridian phi.
+    """
+    # Every complex-by-complex product reads named operands: numpy reuses a
+    # temporary of 256 KiB or more in place, and its in-place complex
+    # product rounds differently, so the value at one direction would
+    # depend on how many directions are evaluated together.
+    cf = np.cos(phi)
+    sf = np.sin(phi)
+    pre = np.exp(1j * phi)
+    pre = pre / np.sqrt(2.0)
+    along = ct * cf - 1j * sf
+    across = ct * sf + 1j * cf
+    return np.stack([pre * along, pre * across, -pre * st], axis=-1)
+
+
 def eps_plus(direction):
     """Positive-helicity unit vector(s) for direction(s) of shape (3,) or (N, 3)."""
     ct, st, phi, squeeze = _angles(direction)
-    cf = np.cos(phi)
-    sf = np.sin(phi)
-    pre = np.exp(1j * phi) / np.sqrt(2.0)
-    e = np.stack(
-        [pre * (ct * cf - 1j * sf), pre * (ct * sf + 1j * cf), -pre * st],
-        axis=1,
-    )
+    e = eps_plus_angles(ct, st, phi)
     return e[0] if squeeze else e
 
 
@@ -64,7 +77,8 @@ def eps_minus(direction):
 def helicity_basis(direction):
     """Pair (eps_plus, eps_minus) for the given direction(s)."""
     ep = eps_plus(direction)
-    return ep, 1j * np.conj(ep)
+    conj = np.conj(ep)  # a named operand, for the reason in eps_plus_angles
+    return ep, 1j * conj
 
 
 def sigma3(values):

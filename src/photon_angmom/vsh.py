@@ -11,31 +11,35 @@ The transverse vector harmonics are
 
 with l >= 1.  Y1 is evaluated through ladder-operator closed forms: with
 the ladder factors c_pm(l, m) = sqrt(l(l+1) - m(m +- 1)) (`ladder`) and
-N = sqrt(l(l+1)), its channels (Y1)_+- = (Y1)_x +- i (Y1)_y and (Y1)_z are
+N = sqrt(l(l+1)), its components (Y1)_+- = (Y1)_x +- i (Y1)_y and (Y1)_z
+are R_0 e^{i(m+1)phi}, R_1 e^{i(m-1)phi} and R_2 e^{i m phi} with the rows
 
-    (Y1)_+ = c_plus Y_{l,m+1} / N
-    (Y1)_- = c_minus Y_{l,m-1} / N
-    (Y1)_z = m Y_lm / N
+    R_0 = c_plus P_{l,m+1} / N,   R_1 = c_minus P_{l,m-1} / N,   R_2 = m P_lm / N,
 
 so no numerical differentiation appears anywhere.  Together the two
 families form a complete orthonormal basis of the transverse subspace at
 each point of the sphere.
 
-Transforms (`analyze` / `synthesize`) map between grid samples and
-coefficient tables over (a, l, m) with one radial profile per entry.  Each
-channel of Y1_lm is a single azimuthal harmonic, e^{i(m+1)phi},
-e^{i(m-1)phi} and e^{i m phi}, so the azimuthal part is one FFT of the
-three channels of both families (the second family reads v x khat), and
-the polar part is one contraction per order m: a (3, l_max+1, n_theta)
-table of ladder-weighted Legendre rows against the FFT bins m+1, m-1 and
-m of the three channels.  In the channels the pointwise inner product is
+The transforms work on the helicity components c_h = conj(eps_h) . v,
+h = +1, -1, of the local basis `polarization.eps_plus` / `eps_minus`
+(cached on the grid's angular nodes as `grid.helicity_basis`).  With
+x = cos(theta),
 
-    conj(u) . v = (conj(u_+) v_+ + conj(u_-) v_-) / 2 + conj(u_z) v_z,
+    conj(eps_+) . Y1_lm = H_+ e^{i(m-1)phi}
+    conj(eps_-) . Y1_lm = -i H_- e^{i(m+1)phi}
+    H_+- = ((x -+ 1) R_0 + (x +- 1) R_1 - 2 sin(theta) R_2) / (2 sqrt 2),
 
-which puts a metric of 1/2 on the +- channels of the analysis.  Synthesis
-is the transpose; it adds the orders into the bins one at a time, so
-orders that alias onto one bin of a coarse azimuthal grid still add.  The
-azimuthal FFT and the polar Gauss-Legendre sums are exact for
+so each helicity component of Y1_lm is one real row times one azimuthal
+harmonic, and khat x eps_h = -i h eps_h turns Y2_lm into the same rows.
+`analyze` takes one FFT in phi of the two components and, per order m,
+contracts FFT bin m - h of c_h against the Gauss-Legendre-weighted row
+H_h: with p_+ and p_- these two contractions (the -i of H_- folded in),
+the coefficients are a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize`
+is the transpose: it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and
+(a2 - i a1) H_- into bin m + 1 of c_-, one order at a time, so orders
+that alias onto one bin of a coarse azimuthal grid still add; an inverse
+FFT and v = c_+ eps_+ + c_- eps_- follow, transverse by construction.
+The azimuthal FFT and the polar Gauss-Legendre sums are exact for
 bandlimited content.
 """
 
@@ -43,7 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import WaveVectorGrid
+from .grid import WaveVectorGrid, legendre_normalized
+from .polarization import eps_plus_angles
 from .wavefunction import WaveFunction
 
 __all__ = [
@@ -68,44 +73,6 @@ def ladder(l, m, sign):
     return np.sqrt(np.maximum(0.0, l * (l + 1.0) - m * (m + sign)))
 
 
-def legendre_normalized(l_max: int, x):
-    """Normalized associated Legendre table P[l, m, i] at points x.
-
-    P[l, m] carries the full spherical-harmonic normalization and
-    Condon-Shortley sign, so Y_lm(theta, phi) = P[l, m](cos theta) e^{i m phi}
-    for m >= 0.  Entries with m > l are zero.
-    """
-    x = np.asarray(x, dtype=float)
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-    out = np.zeros((l_max + 1, l_max + 1) + x.shape)
-    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    # diagonal: P_mm = (-1)^m sqrt((2m+1)/(4 pi) * (2m-1)!!/(2m)!!) (1-x^2)^{m/2}
-    pmm = np.full(x.shape, 1.0 / np.sqrt(4.0 * np.pi))
-    out[0, 0] = pmm
-    for m in range(1, l_max + 1):
-        pmm = -pmm * np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx
-        out[m, m] = pmm
-    # first off-diagonal, then the three-term recurrence upward in l
-    for m in range(0, l_max):
-        out[m + 1, m] = x * np.sqrt(2.0 * m + 3.0) * out[m, m]
-        for l in range(m + 2, l_max + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            out[l, m] = a * (x * out[l - 1, m] - b * out[l - 2, m])
-    return out
-
-
-def _legendre_cached(grid: WaveVectorGrid, l_max: int):
-    """Legendre table on the grid's polar nodes, grown on demand."""
-    entry = grid._cache.get("legendre")
-    if entry is None or entry[0] < l_max:
-        table = legendre_normalized(l_max, grid.x_nodes)
-        grid._cache["legendre"] = (l_max, table)
-        return table
-    return entry[1]
-
-
 def _signed_rows(table, mu):
     """Real rows P[:, mu] of the signed orders mu, stacked first.
 
@@ -118,32 +85,34 @@ def _signed_rows(table, mu):
     return rows * sign.reshape(sign.shape + (1,) * (rows.ndim - 1))
 
 
-def _channel_orders(m: int):
-    """Azimuthal orders (m+1, m-1, m) of the x+iy, x-iy and z channels of Y1_lm."""
-    return np.array([m + 1, m - 1, m])
+def _ladder_weights(l_max: int, ms):
+    """Weights of the rows R_0, R_1, R_2 of Y1_lm, shape (len(ms), 3, l_max+1).
 
-
-def _order_rows(table, l_max: int, m: int):
-    """Ladder-weighted Legendre rows of Y1_lm, l = 0..l_max: (3, l_max+1, ...).
-
-    Rows 0, 1 and 2 are the x+iy, x-iy and z channels of Y1_lm without
-    their phases e^{i mu phi}, mu = _channel_orders(m).  The table must hold
-    orders up to |m| + 1: the x+-iy rows of |m| = l_max read order
-    l_max + 1, with a zero ladder factor.
+    The 1/(2 sqrt 2) of the helicity rows is folded in; l = 0 has weight 0.
     """
     l = np.arange(l_max + 1.0)
     inv_n = np.zeros_like(l)
-    inv_n[1:] = 1.0 / np.sqrt(l[1:] * (l[1:] + 1.0))
-    weight = inv_n * np.stack([ladder(l, m, +1), ladder(l, m, -1), np.full_like(l, m)])
-    rows = _signed_rows(table[: l_max + 1], _channel_orders(m))
-    return rows * weight.reshape(weight.shape + (1,) * (rows.ndim - 2))
+    inv_n[1:] = 1.0 / (2.0 * np.sqrt(2.0) * np.sqrt(l[1:] * (l[1:] + 1.0)))
+    m = np.asarray(ms, dtype=float)[:, None]
+    factors = np.broadcast_arrays(ladder(l, m, +1), ladder(l, m, -1), m)
+    return inv_n * np.stack(factors, axis=1)
 
 
-# Cartesian (x, y, z) to the channels (x+iy, x-iy, z), and back
-_TO_CHANNELS = np.array([[1.0, 1.0j, 0.0], [1.0, -1.0j, 0.0], [0.0, 0.0, 1.0]])
-_FROM_CHANNELS = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
-# pairs with the bins of _channel_orders(m) to pick one bin per channel
-_CHANNEL = np.arange(3)
+def _x_mix(x, s):
+    """(2, 3, ...) mix taking the rows R_0, R_1, R_2 to H_+ and H_-."""
+    return np.array([[x - 1.0, x + 1.0, -2.0 * s], [x + 1.0, x - 1.0, -2.0 * s]])
+
+
+def _helicity_rows(table, weight, mix, m: int):
+    """Rows (H_+, H_-) of Y1_lm, l = 0..l_max: shape (2, l_max+1, ...).
+
+    `weight` is this m's entry of `_ladder_weights` and `mix` the `_x_mix`
+    of the points, optionally times a quadrature weight.  The table must
+    hold orders up to |m| + 1: the R_0 and R_1 rows of |m| = l_max read
+    order l_max + 1, with a zero ladder factor.
+    """
+    rows = _signed_rows(table[: weight.shape[1]], [m + 1, m - 1, m])
+    return np.einsum("hc...,cl,cl...->hl...", mix, weight, rows)
 
 
 def scalar_ylm(l: int, m: int, theta, phi):
@@ -157,7 +126,10 @@ def scalar_ylm(l: int, m: int, theta, phi):
 
 
 def vsh_pair(l: int, m: int, theta, phi):
-    """Vector spherical harmonics (Y1, Y2) at angles, each shape (..., 3)."""
+    """Vector spherical harmonics (Y1, Y2) at angles, each shape (..., 3).
+
+    Defined at every (theta, phi), the poles included.
+    """
     if l < 1:
         raise ValueError("vector harmonics require l >= 1")
     if abs(m) > l:
@@ -165,16 +137,16 @@ def vsh_pair(l: int, m: int, theta, phi):
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    table = legendre_normalized(l + 1, np.cos(theta))
-    rows = _order_rows(table, l, m)[:, l]
-    mu = _channel_orders(m).reshape((3,) + (1,) * phi.ndim)
-    y1 = np.moveaxis(rows * np.exp(1j * mu * phi), 0, -1) @ _FROM_CHANNELS.T
-    st = np.sin(theta)
-    khat = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1
-    ).astype(complex)
-    y2 = np.cross(khat, y1)
-    return y1, y2
+    x, s = np.cos(theta), np.sin(theta)
+    table = legendre_normalized(l + 1, x)
+    weight = _ladder_weights(l, [m])[0]
+    h_plus, h_minus = _helicity_rows(table, weight, _x_mix(x, s), m)[:, l]
+    c_plus = (h_plus * np.exp(1j * (m - 1) * phi))[..., None]
+    c_minus = (-1j * h_minus * np.exp(1j * (m + 1) * phi))[..., None]
+    ep = eps_plus_angles(x, s, phi)
+    em = 1j * np.conj(ep)
+    # khat x eps_h = -i h eps_h
+    return c_plus * ep + c_minus * em, -1j * c_plus * ep + 1j * c_minus * em
 
 
 class VshExpansion:
@@ -300,7 +272,7 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     window (m_lo, m_hi) may be given for azimuthally bandlimited states;
     the caller is then responsible for the azimuthal content actually
     fitting the grid (the transform itself stays exact in that case even
-    on coarse azimuthal grids).
+    on coarse azimuthal grids).  Longitudinal content of v is ignored.
     """
     grid = v.grid
     spec = grid.spec
@@ -323,26 +295,25 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
         if m_min > m_max or m_min < -l_max or m_max > l_max:
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
-    table = _legendre_cached(grid, l_max + 1)
+    table = grid.legendre(l_max + 1)
     n_k, n_theta, n_phi = grid.shape
-    # channels of v and, for the second family, of the rotated field v x khat
-    chans = np.empty((3, 2, grid.n_nodes), dtype=complex)
-    np.matmul(_TO_CHANNELS, v.values.T, out=chans[:, 0])
-    np.matmul(_TO_CHANNELS, np.cross(v.values, grid.khat).T, out=chans[:, 1])
-    # moments[c, family, k, theta, mu] = sum_phi e^{-i mu phi} channel c
-    moments = np.fft.fft(chans.reshape(3, 2, n_k, n_theta, n_phi), axis=-1)
-    del chans  # each buffer is six samples per node; hold two at most
-    # phi and polar quadrature, with the metric
-    # conj(Y1).v = (conj(Y1+) v+ + conj(Y1-) v-) / 2 + conj(Y1z) vz
-    metric = np.array([0.5, 0.5, 1.0])[:, None, None]
-    quad = metric * (2.0 * np.pi / n_phi) * grid.x_weights
-    out = VshExpansion.zero(grid, l_max, m_min, m_max)
-    for m in range(m_min, m_max + 1):
-        picked = moments[_CHANNEL, :, :, :, _channel_orders(m) % n_phi]
-        rows = quad * _order_rows(table, l_max, m)
-        coeffs = picked.reshape(3, 2 * n_k, n_theta) @ rows.transpose(0, 2, 1)
-        out.coeffs[..., m - m_min] = coeffs.sum(axis=0).reshape(2, n_k, l_max + 1)
-    return out
+    ms = np.arange(m_min, m_max + 1)
+    weights = _ladder_weights(l_max, ms)
+    # the phi and polar quadrature, folded into the x-mix
+    quad = (2.0 * np.pi / n_phi) * grid.x_weights
+    mix = quad * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
+    # moments[h, k, theta, mu] = sum_phi e^{-i mu phi} c_h
+    moments = np.fft.fft(v.helicity_components().reshape(2, n_k, n_theta, n_phi), axis=-1)
+    # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
+    p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
+    for i, m in enumerate(ms):
+        picked = moments[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]]
+        rows = _helicity_rows(table, weights[i], mix, m)
+        p[..., i] = picked @ rows.transpose(0, 2, 1)
+    # with the -i of H_- conjugated into p_- = i p[1]:
+    # a1 = p_+ + p_-, a2 = i (p_+ - p_-)
+    coeffs = np.stack([p[0] + 1j * p[1], 1j * p[0] + p[1]])
+    return VshExpansion(grid, l_max, m_min, m_max, coeffs)
 
 
 def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunction:
@@ -352,22 +323,21 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
     elif grid.spec != e.grid.spec:
         raise ValueError("expansion was built on an incompatible grid")
     n_k, n_theta, n_phi = grid.shape
-    table = _legendre_cached(grid, e.l_max + 1)
-    coeffs = e.coeffs.reshape(2 * n_k, e.l_max + 1, -1)
-    # bins[c, family, k, theta, mu]: e^{i mu phi} amplitude of channel c.
-    # Orders are added one at a time, so orders that alias onto one bin of
-    # a coarse azimuthal grid add up.
-    bins = np.zeros((3, 2, n_k, n_theta, n_phi), dtype=complex)
+    table = grid.legendre(e.l_max + 1)
     # a shifted window (J+- of an expansion) may reach past |m| = l_max,
     # where every slot is structurally zero
-    for m in range(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1):
-        amp = coeffs[:, :, m - e.m_min] @ _order_rows(table, e.l_max, m)
-        bins[_CHANNEL, :, :, :, _channel_orders(m) % n_phi] += amp.reshape(
-            3, 2, n_k, n_theta
-        )
+    ms = np.arange(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1)
+    weights = _ladder_weights(e.l_max, ms)
+    mix = _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
+    a1, a2 = e.coeffs[..., ms - e.m_min]
+    # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-
+    q = np.stack([a1 - 1j * a2, a2 - 1j * a1])
+    # bins[h, k, theta, mu]: e^{i mu phi} amplitude of c_h.  Orders are
+    # added one at a time, so orders that alias onto one bin of a coarse
+    # azimuthal grid add up.
+    bins = np.zeros((2, n_k, n_theta, n_phi), dtype=complex)
+    for i, m in enumerate(ms):
+        rows = _helicity_rows(table, weights[i], mix, m)
+        bins[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]] += q[..., i] @ rows
     # the inverse FFT evaluates the amplitudes at the azimuthal nodes
-    chans = np.fft.ifft(bins, axis=-1, norm="forward").reshape(3, 2, -1)
-    del bins  # each buffer is six samples per node; hold two at most
-    cart = _FROM_CHANNELS @ chans.reshape(3, -1)
-    first, second = cart.reshape(3, 2, -1).transpose(1, 2, 0)
-    return WaveFunction(grid, first + np.cross(grid.khat, second), check=False)
+    return WaveFunction.from_helicity(grid, np.fft.ifft(bins, axis=-1, norm="forward"))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import WaveVectorGrid
-from .polarization import helicity_basis
 
 __all__ = [
     "WaveFunction",
@@ -81,20 +80,21 @@ class WaveFunction:
         """Remove longitudinal content: the module-level `project_transverse`."""
         return project_transverse(self.grid, self.values)
 
+    @classmethod
+    def from_helicity(cls, grid: WaveVectorGrid, c):
+        """The state c_plus eps_plus + c_minus eps_minus, transverse by
+        construction, from amplitudes c of shape (2, n_nodes) or
+        (2, n_k, n_theta, n_phi); the inverse of `helicity_components`."""
+        ep, em = grid.helicity_basis
+        c = c.reshape((2,) + grid.shape + (1,))
+        return cls(grid, (c[0] * ep + c[1] * em).reshape(-1, 3), check=False)
+
     def helicity_components(self):
-        """Complex amplitudes (c_plus, c_minus) in the local helicity basis."""
-        ep, em = _basis(self.grid)
-        cp = np.einsum("nc,nc->n", np.conj(ep), self.values)
-        cm = np.einsum("nc,nc->n", np.conj(em), self.values)
-        return cp, cm
-
-
-def _basis(grid: WaveVectorGrid):
-    pair = grid._cache.get("helicity_basis")
-    if pair is None:
-        pair = helicity_basis(grid.khat)
-        grid._cache["helicity_basis"] = pair
-    return pair
+        """Amplitudes (c_plus, c_minus) = conj(eps_+-) . v in the local
+        helicity basis, as an array of shape (2, n_nodes)."""
+        basis = np.conj(self.grid.helicity_basis)
+        vals = self.grid.node_fields(self.values)
+        return np.einsum("htpc,ktpc->hktp", basis, vals).reshape(2, -1)
 
 
 def inner_product(u: WaveFunction, v: WaveFunction) -> complex:
@@ -146,8 +146,6 @@ def random_state(grid: WaveVectorGrid, seed: int = 0) -> WaveFunction:
     checks that must hold on arbitrary states.
     """
     rng = np.random.default_rng(seed)
-    ep, em = _basis(grid)
     cp = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
     cm = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
-    vals = cp[:, None] * ep + cm[:, None] * em
-    return normalize(WaveFunction(grid, vals, check=False))
+    return normalize(WaveFunction.from_helicity(grid, np.stack([cp, cm])))

@@ -325,6 +325,28 @@ def test_nan_gate_and_unbuildable_grid_map_to_exit_3(tmp_path, capsys, mode,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "mode, override",
+    [(None, "--grid.k_max=1e200"), (README_LG_MODE, "--mode.w0=1e300")],
+    ids=["k_max-1e200", "w0-1e300"],
+)
+def test_numerical_failure_prints_only_the_error_line(tmp_path, mode, override):
+    # in a process of its own: pytest would capture numpy's warnings
+    cfg = write_config(tmp_path, **({"mode": mode} if mode else {}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "photon_angmom.cli", "mode", "--config", str(cfg),
+         override],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 3
+    assert run.stderr == (
+        "error: mode norm deviation nan is not within tolerance 'mode_norm' (1.000e-10)\n"
+    )
+
+
 def test_integral_float_seed_is_accepted(tmp_path):
     cfg = write_config(tmp_path, seed=1.0)
     assert main(["mode", "--config", str(cfg)]) == 0

@@ -15,12 +15,13 @@ from photon_angmom.modes import (
     theta_distribution,
 )
 from photon_angmom.operators import apply_J3_azimuthal, apply_S, apply_W, observable_report
-from photon_angmom.polarization import helicity_basis
+from photon_angmom.polarization import eps_plus, helicity_basis
 from photon_angmom.wavefunction import (
     WaveFunction,
     inner_product,
     norm,
     normalize,
+    random_state,
     transverse_residual,
 )
 
@@ -135,6 +136,52 @@ def test_j3_w_factor_axes_match_nodewise_closed_form(grid, theta_profile):
         pol = helicity_basis(grid.khat)[0 if w == 1 else 1]
         want = normalize(WaveFunction(grid, amp[:, None] * pol, check=False))
         assert np.array_equal(build_j3_w_eigenstate(spec, grid).values, want.values)
+
+
+# grid.helicity_basis is shared by the builders and random_state; they must
+# equal polarization.helicity_basis evaluated node by node, bit for bit.  The
+# 128 x 130 angular nodes put one basis vector array past 256 KiB, the size
+# from which numpy reuses temporaries in place.
+@pytest.fixture(scope="module")
+def wide_grid():
+    return build_grid(GridSpec(n_k=2, k_min=0.5, k_max=1.5, n_theta=128, n_phi=130))
+
+
+@pytest.fixture(scope="module")
+def nodewise_basis(wide_grid):
+    """(eps_plus, eps_minus) evaluated one node at a time: (2, n_nodes, 3)."""
+    n_ang = wide_grid.spec.n_theta * wide_grid.spec.n_phi
+    shell = wide_grid.khat[:n_ang]
+    # every radial shell holds the same directions, so one shell serves all
+    assert np.array_equal(wide_grid.khat[n_ang:], shell)
+    pairs = np.array([np.stack(helicity_basis(d)) for d in shell])
+    return np.tile(np.moveaxis(pairs, 1, 0), (1, wide_grid.spec.n_k, 1))
+
+
+@pytest.mark.parametrize("w", [1, -1])
+def test_sam_helicity_carrier_matches_nodewise_closed_form(wide_grid, nodewise_basis, w):
+    spec = ModeSpec(kind="sam_wavepacket", w=w, s_direction=(0.3, 0.2, 1.0), kappa=6.0,
+                    radial_profile={"k0": 1.0, "sigma_k": 0.2})
+    s = np.array([0.3, 0.2, 1.0])
+    s = s / np.linalg.norm(s)
+    kernel = np.exp(6.0 * (wide_grid.khat @ (w * s) - 1.0))
+    g = np.exp(-((wide_grid.k - 1.0) ** 2) / (4.0 * 0.2**2))
+    pol = nodewise_basis[0 if w == 1 else 1]
+    amp = np.einsum("nc,c->n", np.conj(pol), eps_plus(s))
+    vals = (g * kernel * amp)[:, None] * pol
+    want = normalize(WaveFunction(wide_grid, vals, check=False))
+    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).values, want.values)
+
+
+def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
+    rng = np.random.default_rng(5)
+    n = wide_grid.n_nodes
+    cp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ep, em = nodewise_basis
+    vals = cp[:, None] * ep + cm[:, None] * em
+    want = normalize(WaveFunction(wide_grid, vals, check=False))
+    assert np.array_equal(random_state(wide_grid, seed=5).values, want.values)
 
 
 def test_j3_w_eigenstate_eigenvalues(grid):

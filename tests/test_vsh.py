@@ -3,6 +3,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from photon_angmom.grid import GridSpec, build_grid
+from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.vsh import (
     VshExpansion,
     analyze,
@@ -327,3 +328,52 @@ def test_windowed_analyze_on_coarse_azimuthal_grid(coarse_grid):
     e = analyze(v, l_max=4, m_window=(1, 2))
     keys = sorted(coeffs)
     _assert_rel([e.coefficient(*key) for key in keys], [coeffs[key] for key in keys])
+
+
+def test_vsh_pair_at_the_poles_matches_oracle():
+    # theta = 0 and pi, where eps_plus as a function of the direction is
+    # singular; Y1 and Y2 stay single valued there
+    phi = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False) + 0.3
+    for pole in (0.0, np.pi):
+        theta = np.full_like(phi, pole)
+        khat = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta)], axis=-1)
+        for l in range(1, 6):
+            for m in range(-l, l + 1):
+                y1, y2 = vsh_pair(l, m, theta, phi)
+                ref = _oracle_y1(l, m, theta, phi)
+                np.testing.assert_allclose(y1, ref, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(y2, np.cross(khat, ref), rtol=0, atol=1e-13)
+
+
+LG_GRID = GridSpec(n_k=4, k_min=0.94, k_max=1.06, n_theta=64, n_phi=12)
+LG_MODE = ModeSpec(kind="vector_lg", m=2, w=-1, p=1, w0=25.0, k_fixed=1.0)
+
+
+@pytest.mark.parametrize("state", ["random", "vector_lg"])
+def test_analyze_ignores_longitudinal_content(grid, state):
+    if state == "random":
+        v, l_max = random_state(grid, seed=43), 10
+    else:
+        g = build_grid(LG_GRID)
+        v, l_max = build_mode(LG_MODE, g), 5
+    f = (0.7 + 0.4j * v.grid.k) * np.abs(v.values).max()
+    polluted = WaveFunction(v.grid, v.values + f[:, None] * v.grid.khat, check=False)
+    ref = analyze(v, l_max).coeffs
+    _assert_rel(analyze(polluted, l_max).coeffs, ref)
+
+
+@pytest.mark.parametrize("w", [1, -1])
+@pytest.mark.parametrize("kind", ["j3_w_eigenstate", "sam_wavepacket"])
+def test_helicity_eigenstate_coefficients_pair_up(grid, kind, w):
+    # Y2 = khat x Y1 and khat x eps_h = -i h eps_h: a state with W = w has
+    # a2 = i w a1 on every (l, m)
+    if kind == "j3_w_eigenstate":
+        spec = ModeSpec(kind=kind, m=2, w=w, radial_profile={"k0": 1.0, "sigma_k": 0.3},
+                        theta_profile={"kind": "gaussian_in_theta", "theta0": 0.6,
+                                       "sigma_theta": 0.4})
+    else:
+        spec = ModeSpec(kind=kind, w=w, s_direction=[0.3, 0.2, 1.0], kappa=4.0,
+                        radial_profile={"k0": 1.0, "sigma_k": 0.3})
+    a1, a2 = analyze(build_mode(spec, grid), l_max=10).coeffs
+    _assert_rel(a2, 1j * w * a1)
