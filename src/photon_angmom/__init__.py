@@ -36,7 +36,7 @@ def _cap_threads():
 _cap_threads()
 
 from .grid import GridSpec, WaveVectorGrid, angular_integrate, build_grid, integrate
-from .polarization import eps_minus, eps_plus, helicity_basis, sigma3
+from .polarization import eps_minus, eps_plus, helicity_basis
 from .wavefunction import (
     WaveFunction,
     inner_product,
@@ -90,7 +90,6 @@ __all__ = [
     "eps_plus",
     "eps_minus",
     "helicity_basis",
-    "sigma3",
     "WaveFunction",
     "inner_product",
     "norm",

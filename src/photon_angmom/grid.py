@@ -30,26 +30,29 @@ __all__ = [
 ]
 
 
-def legendre_normalized(l_max: int, x):
+def legendre_normalized(l_max: int, x, m_max: int | None = None):
     """Normalized associated Legendre table P[l, m, i] at points x.
 
     P[l, m] carries the full spherical-harmonic normalization and
     Condon-Shortley sign, so Y_lm(theta, phi) = P[l, m](cos theta) e^{i m phi}
-    for m >= 0.  Entries with m > l are zero.
+    for m >= 0.  Entries with m > l are zero.  Only the orders
+    m <= m_max (default and at most l_max) are built; each row is the same,
+    bit for bit, whatever m_max is.
     """
     x = np.asarray(x, dtype=float)
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    out = np.zeros((l_max + 1, l_max + 1) + x.shape)
+    m_max = l_max if m_max is None else min(m_max, l_max)
+    out = np.zeros((l_max + 1, m_max + 1) + x.shape)
     sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     # diagonal: P_mm = (-1)^m sqrt((2m+1)/(4 pi) * (2m-1)!!/(2m)!!) (1-x^2)^{m/2}
     pmm = np.full(x.shape, 1.0 / np.sqrt(4.0 * np.pi))
     out[0, 0] = pmm
-    for m in range(1, l_max + 1):
+    for m in range(1, m_max + 1):
         pmm = -pmm * np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx
         out[m, m] = pmm
     # first off-diagonal, then the three-term recurrence upward in l
-    for m in range(0, l_max):
+    for m in range(0, min(m_max + 1, l_max)):
         out[m + 1, m] = x * np.sqrt(2.0 * m + 3.0) * out[m, m]
         for l in range(m + 2, l_max + 1):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
@@ -115,8 +118,9 @@ class WaveVectorGrid:
         Solid-angle weights; they sum to 4*pi.
     radial_weights : ndarray, shape (n_k,)
         Radial weights including the k^2 Jacobian.
-    helicity_basis : ndarray, shape (2, n_theta, n_phi, 3)
-        eps_plus and eps_minus on the angular nodes, built on first use.
+    frame : ndarray, shape (3, n_theta, n_phi, 3)
+        The local unitary frame (eps_plus, eps_minus, khat) on the angular
+        nodes, built on first use; `helicity_basis` is its first two rows.
     """
 
     def __init__(self, spec: GridSpec):
@@ -159,22 +163,31 @@ class WaveVectorGrid:
         self._legendre = None
 
     @cached_property
-    def helicity_basis(self):
-        """(eps_plus, eps_minus) on the angular nodes, shape (2, n_theta, n_phi, 3).
+    def frame(self):
+        """Local unitary frame (eps_plus, eps_minus, khat) on the angular
+        nodes, shape (3, n_theta, n_phi, 3).
 
-        The basis depends on the direction only, so it is evaluated on the
-        first radial shell; broadcast over k it equals
+        The frame depends on the direction only, so it is evaluated on the
+        first radial shell; broadcast over k its first two rows equal
         polarization.helicity_basis(khat) node by node, bit for bit.
         """
         n_ang = self.spec.n_theta * self.spec.n_phi
-        pair = np.stack(helicity_basis(self.khat[:n_ang]))
-        return pair.reshape((2,) + self.shape[1:] + (3,))
+        khat = self.khat[:n_ang]
+        rows = np.stack(helicity_basis(khat) + (khat,))
+        return rows.reshape((3,) + self.shape[1:] + (3,))
 
-    def legendre(self, l_max: int):
+    @property
+    def helicity_basis(self):
+        """(eps_plus, eps_minus): the first two rows of `frame`."""
+        return self.frame[:2]
+
+    def legendre(self, l_max: int, m_max: int):
         """legendre_normalized table on the polar nodes holding at least
-        degree and order l_max; grown on demand and kept."""
-        if self._legendre is None or self._legendre.shape[0] <= l_max:
-            self._legendre = legendre_normalized(l_max, self.x_nodes)
+        degree l_max and order m_max; grown on demand and kept."""
+        held = (0, 0) if self._legendre is None else self._legendre.shape[:2]
+        if held[0] <= l_max or held[1] <= m_max:
+            self._legendre = legendre_normalized(
+                max(l_max, held[0] - 1), self.x_nodes, max(m_max, held[1] - 1))
         return self._legendre
 
     def node_fields(self, values):

@@ -40,9 +40,15 @@ scalar LG closed form, for one, runs on n_k * n_theta nodes, not on
 n_k * n_theta * n_phi.  The helicity vectors come from the grid's
 `helicity_basis`, evaluated once per angular node and broadcast over k.
 
-Each builder carries a finite set of azimuthal orders in its Cartesian
-components and refuses a grid whose n_phi cannot resolve them, since an
-FFT over n_phi nodes would fold them onto other orders.
+Each builder carries a finite set of azimuthal orders and refuses a grid
+whose n_phi cannot resolve them, since an FFT over n_phi nodes would fold
+them onto other orders.  The operators take that FFT of the local frame
+components c_+, c_- and c_0 (`WaveFunction.frame_components`): a J3
+eigenstate of order m has c_h on the order m - h and c_0 on m.  The
+orders checked cover those bins and the Cartesian ones (m - 1, m, m + 1
+for the J3-W family; m - w on x, y and m on z for vector LG, whose small
+opposite-helicity row c_{-w} sits on m + w), so every bin that J3, the
+report and `vsh.analyze` read is resolved.
 """
 
 from __future__ import annotations
@@ -398,8 +404,9 @@ def build_vector_lg(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
             stacklevel=2,
         )
     m, w = spec.m, spec.w
-    # x, y carry the scalar order m - w; z carries (m - w) + w = m
-    _check_azimuthal_orders(grid, m - w, m)
+    # x, y carry the scalar order m - w; z carries (m - w) + w = m; the
+    # opposite-helicity part, frame row c_{-w}, carries m + w
+    _check_azimuthal_orders(grid, m - w, m, m + w)
     k, theta, phi = _factor_axes(grid)
     rho = k * np.sin(theta)
     profile = scalar_lg(m - w, spec.p, spec.w0, rho, phi)

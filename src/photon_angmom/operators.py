@@ -1,28 +1,41 @@
-"""Operator actions on transverse wavefunctions and observable reports.
+"""Operator actions on one-photon wavefunctions and observable reports.
 
 Everything is in natural units (hbar = c = 1): helicity eigenvalues are
 +-1, J3 eigenvalues are the integers m, energies are wavenumbers.
 
-Three kinds of action coexist:
+States are stored as Cartesian samples v(k).  The grid caches the local
+unitary frame (eps_+, eps_-, khat) on its angular nodes (`grid.frame`),
+and `WaveFunction.frame_components` reads v in it as
 
-* pointwise algebra for P, S, W: exact at machine precision on any
-  transverse state,
+    c = (c_+, c_-, c_0) = (conj(eps_+) . v, conj(eps_-) . v, khat . v).
 
-      (P0 v)       = |k| v
-      (P_l v)      = k_l v
-      (S_l v)_j    = i khat_l (khat x v)_j
-      (W v)_j      = i (khat x v)_j
+c_0 is the longitudinal part: zero on a transverse state, kept so that
+the approximately transverse vector LG and projected-carrier states lose
+nothing.  Write h = (+1, -1, 0) for the helicity of the three rows.  Since
+khat x eps_h = -i h eps_h, the momentum, spin and helicity operators are
+diagonal multipliers in this frame,
 
-* the spectral route for J (and through it L = J - S): Y^(a)_lm are exact
-  J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m and
-  J+- shift m with the ladder factors of `vsh.ladder`; exact up
-  to the truncation l_max of the expansion,
+    P0 by |k|,   P_l by k_l,   W by h,   S_l = khat_l W by h khat_l,
 
-* an exact azimuthal route for J3 alone: J3 = -i d/dphi + Sigma3 acting
-  componentwise, evaluated by FFT over the uniform phi subgrid.  For
-  states whose azimuthal content fits the grid this is exact without any
-  l truncation, so J3 eigen-residual reports do not inherit spectral
-  truncation error.
+which is the statement S = W khat.  J3 = -i d/dphi + Sigma3 is diagonal
+in the phi-FFT of c: e^{i mu phi} eps_h is a J3 eigenvector of eigenvalue
+mu + h, so J3 multiplies bin mu of row a by mu + h_a (`apply_J3_azimuthal`),
+exact for states whose azimuthal content fits the grid, with no l
+truncation.  S3 = h cos(theta) is constant on each phi ring, so L3 = J3 - S3
+multiplies the same bin by mu + h_a - h_a cos(theta).
+
+`observable_report` therefore applies no operator: energy, momentum, the
+SAM moments and the W and S3 dispersions are integrals of the densities
+|c_a|^2, and the J3 and L3 moments are Parseval sums over the power of one
+phi-FFT of c.  `apply_S` and `apply_W` act on the Cartesian samples with
+one khat x v product, (S_l v) = i khat_l (khat x v) and (W v) = i khat x v,
+which is cheaper per call than a round trip through the frame.
+
+J1 and J2 (and through them L = J - S) go the spectral route: Y^(a)_lm are
+exact J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m
+and J+- shift m with the ladder factors of `vsh.ladder`; exact up to the
+truncation l_max of the expansion.  The report reads them from the same
+phi-FFT, bins m - h of rows c_+ and c_-.
 """
 
 from __future__ import annotations
@@ -32,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import WaveVectorGrid
-from .polarization import sigma3
-from .vsh import VshExpansion, analyze, ladder, synthesize
-from .wavefunction import WaveFunction, inner_product, norm
+from .vsh import VshExpansion, _analyze_spectrum, analyze, ladder, synthesize
+from .wavefunction import WaveFunction, norm
 
 __all__ = [
     "ObservableReport",
@@ -50,6 +62,9 @@ __all__ = [
     "expansion_inner",
     "observable_report",
 ]
+
+# helicity h of the frame rows (eps_+, eps_-, khat)
+_H = np.array([1.0, -1.0, 0.0])
 
 
 def apply_P(index: int, v: WaveFunction) -> WaveFunction:
@@ -78,23 +93,12 @@ def _khat_cross(khat, values):
     return out
 
 
-def _spin_from_cross(grid: WaveVectorGrid, axis: int, cross) -> WaveFunction:
-    """S_l v = i khat_l (khat x v), given the product khat x v."""
-    return WaveFunction(grid, 1j * grid.khat[:, axis - 1][:, None] * cross, check=False)
-
-
-def _spin_actions(v: WaveFunction):
-    """[S1 v, S2 v, S3 v] and W v, all from one khat x v product."""
-    cross = _khat_cross(v.grid.khat, v.values)
-    sv = [_spin_from_cross(v.grid, ax, cross) for ax in (1, 2, 3)]
-    return sv, WaveFunction(v.grid, 1j * cross, check=False)
-
-
 def apply_S(axis: int, v: WaveFunction) -> WaveFunction:
     """SAM component: (S_l v)_j = i khat_l (khat x v)_j."""
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1..3")
-    return _spin_from_cross(v.grid, axis, _khat_cross(v.grid.khat, v.values))
+    cross = _khat_cross(v.grid.khat, v.values)
+    return WaveFunction(v.grid, 1j * v.grid.khat[:, axis - 1][:, None] * cross, check=False)
 
 
 def apply_W(v: WaveFunction) -> WaveFunction:
@@ -134,16 +138,26 @@ def apply_J_squared(e: VshExpansion) -> VshExpansion:
     )
 
 
+def _bins(grid: WaveVectorGrid):
+    """Signed FFT bins mu in [-n_phi/2, n_phi/2), in FFT order.
+
+    For even n_phi, bin -n_phi/2 is the Nyquist bin.
+    """
+    n_phi = grid.spec.n_phi
+    return np.rint(np.fft.fftfreq(n_phi) * n_phi).astype(int)
+
+
 def apply_J3_azimuthal(v: WaveFunction) -> WaveFunction:
-    """J3 = -i d/dphi + Sigma3 via FFT; exact for grid-resolved azimuthal content."""
-    grid = v.grid
-    # channel-major copy, so each FFT runs along a contiguous phi axis
-    chans = np.ascontiguousarray(np.moveaxis(v.values.reshape(grid.shape + (3,)), -1, 0))
-    mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi)
-    orb = np.fft.ifft(np.fft.fft(chans, axis=-1) * mu, axis=-1)
-    return WaveFunction(
-        grid, np.moveaxis(orb, 0, -1).reshape(-1, 3) + sigma3(v.values), check=False
-    )
+    """J3 = -i d/dphi + Sigma3: bin mu of the phi-FFT of row c_a times mu + h_a.
+
+    Exact for grid-resolved azimuthal content.
+    """
+    # c becomes its phi-FFT, times the J3 orders, then the inverse FFT, in
+    # place: three fewer arrays of the state's size per call
+    c = v.frame_components()
+    np.fft.fft(c, axis=-1, out=c)
+    c *= (_bins(v.grid) + _H[:, None])[:, None, None, :]
+    return WaveFunction.from_helicity(v.grid, np.fft.ifft(c, axis=-1, out=c))
 
 
 def apply_L(axis: int, v: WaveFunction, l_max: int = 16,
@@ -174,43 +188,44 @@ def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
-def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
-    """FFT bins of the x + i y, x - i y and z channels that hold content.
+def _power(spectrum):
+    return spectrum.real ** 2 + spectrum.imag ** 2
 
-    Maps each channel's order offset (+1, -1, 0) to the signed bins in
+
+def _support(v: WaveFunction, power, rel_tol: float) -> dict:
+    """`azimuthal_support` from the power |C|^2 of the phi-FFT C of c."""
+    n_phi = v.grid.spec.n_phi
+    floor = (rel_tol * max(np.abs(v.values).max(), 1e-300) * n_phi) ** 2
+    bins = _bins(v.grid)
+    peaks = power.max(axis=(1, 2))
+    return {h: bins[peak > floor] for h, peak in zip((1, -1, 0), peaks)}
+
+
+def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
+    """FFT bins of the frame components c_+, c_- and c_0 that hold content.
+
+    Maps the helicity h (+1, -1, 0) of each row to the signed bins mu in
     [-n_phi/2, n_phi/2) whose amplitude on some (k, theta) ring exceeds
-    rel_tol * max |v|.  For even n_phi, bin -n_phi/2 is the Nyquist bin.
+    rel_tol * max |v|; bin mu of row h holds J3 order mu + h.  For even
+    n_phi, bin -n_phi/2 is the Nyquist bin.
     """
-    grid = v.grid
-    cube = v.values.reshape(grid.shape + (3,))
-    chans = {
-        +1: cube[..., 0] + 1j * cube[..., 1],   # carries orders m+1
-        -1: cube[..., 0] - 1j * cube[..., 1],   # carries orders m-1
-        0: cube[..., 2],
-    }
-    mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi).astype(int)
-    scale = max(np.abs(v.values).max(), 1e-300)
-    support = {}
-    for off, ch in chans.items():
-        amp = np.abs(np.fft.fft(ch, axis=2)).max(axis=(0, 1)) / grid.spec.n_phi
-        support[off] = mu[amp > rel_tol * scale]
-    return support
+    return _support(v, _power(np.fft.fft(v.frame_components(), axis=-1)), rel_tol)
+
+
+def _window(support: dict, l_max: int):
+    orders = [m for h, bins in support.items() for m in bins + h]
+    if not orders:
+        return (0, 0)
+    return (max(min(orders), -l_max), min(max(orders), l_max))
 
 
 def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
     """Contiguous J3-order window covered by the state's azimuthal content.
 
-    The x +- i y channels of a VSH of order m oscillate as e^{i(m +- 1)phi}
-    and the z channel as e^{i m phi}; the detected FFT support of each
-    channel is mapped back accordingly and the union returned, clipped to
+    The orders mu + h of the bins in `azimuthal_support`, clipped to
     [-l_max, l_max].
     """
-    orders = []
-    for off, present in azimuthal_support(v, rel_tol).items():
-        orders.extend(present - off)
-    if not orders:
-        return (0, 0)
-    return (max(min(orders), -l_max), min(max(orders), l_max))
+    return _window(azimuthal_support(v, rel_tol), l_max)
 
 
 def _report_l_max(grid: WaveVectorGrid) -> int:
@@ -251,57 +266,61 @@ class ObservableReport:
         }
 
 
-def _dispersion(v: WaveFunction, ov: WaveFunction, mean: float) -> float:
-    diff = ov.values - mean * v.values
-    return float(
-        np.sqrt(np.sum(v.grid.weights * np.einsum("nc,nc->n", np.conj(diff), diff).real))
-    )
-
-
 def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableReport:
     """Full observable record of a normalized state.
 
     J1/J2 expectations go through the spectral route with an automatically
-    detected azimuthal window; J3, W, S and P are evaluated exactly.
+    detected azimuthal window; J3, W, S and P are evaluated exactly, from
+    the frame densities and one phi-FFT (see the module docstring).
     """
     n = norm(v)
     if abs(n - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized; ||v|| = {n:.12g}")
     grid = v.grid
-    dens = np.einsum("nc,nc->n", np.conj(v.values), v.values).real
-    energy = float(np.sum(grid.weights * dens * grid.k))
-    momentum = np.array(
-        [np.sum(grid.weights * dens * grid.kvec[:, j]) for j in range(3)]
-    )
+    c = v.frame_components()
+    spectrum = np.fft.fft(c, axis=-1)
 
-    sv, wv = _spin_actions(v)
-    sam = np.array([inner_product(v, s).real for s in sv])
+    # rho[a] = weights |c_a|^2, so that sum(rho[a] * f) = <c_a, f c_a>
+    rho = _power(c).reshape(3, -1) * grid.weights
+    dens = rho.sum(axis=0)
+    energy = float(dens @ grid.k)
+    momentum = dens @ grid.kvec
+    khat = grid.khat
+    helicity_dens = rho[0] - rho[1]
+    spin_dens = rho[0] + rho[1]
+    sam = helicity_dens @ khat
     second = np.empty((3, 3))
     for a in range(3):
         for b in range(a, 3):
-            val = inner_product(sv[a], sv[b]).real
-            second[a, b] = second[b, a] = val
+            second[a, b] = second[b, a] = spin_dens @ (khat[:, a] * khat[:, b])
     variance = second - np.outer(sam, sam)
+    helicity = float(helicity_dens.sum())
+    w_res2 = (_H - helicity) ** 2 @ rho.sum(axis=1)
+    s3_res2 = sum(((h * khat[:, 2] - sam[2]) ** 2) @ r for h, r in zip(_H, rho))
 
-    helicity = inner_product(v, wv).real
+    # Parseval: weights sum_phi |c_a|^2 = weights sum_mu |C_a|^2 / n_phi,
+    # and the weights are constant on each (k, theta) ring
+    power = _power(spectrum)
+    ring = grid.weights.reshape(grid.shape)[..., 0] / grid.spec.n_phi
+    ring_power = np.einsum("aktm,kt->atm", power, ring)
+    j3_orders = (_bins(grid) + _H[:, None])[:, None, :]
+    j3 = float(np.sum(j3_orders * ring_power))
+    l3_orders = j3_orders - _H[:, None, None] * np.cos(grid.theta_nodes)[:, None]
+    l3 = j3 - sam[2]
 
     if l_max is None:
         l_max = _report_l_max(grid)
-    window = azimuthal_window(v, l_max)
-    e = analyze(v, l_max, m_window=window)
+    window = _window(_support(v, power, 1e-12), l_max)
+    e = _analyze_spectrum(grid, spectrum, l_max, window)
     j12 = [expansion_inner(e, apply_J(ax, e)).real for ax in (1, 2)]
-    j3v = apply_J3_azimuthal(v)
-    j3 = inner_product(v, j3v).real
     total_am = np.array([j12[0], j12[1], j3])
     oam = total_am - sam
 
-    l3v = j3v - sv[2]
-    l3 = j3 - sam[2]
     residuals = {
-        "J3": _dispersion(v, j3v, j3),
-        "W": _dispersion(v, wv, helicity),
-        "S3": _dispersion(v, sv[2], sam[2]),
-        "L3": _dispersion(v, l3v, l3),
+        "J3": float(np.sqrt(np.sum((j3_orders - j3) ** 2 * ring_power))),
+        "W": float(np.sqrt(w_res2)),
+        "S3": float(np.sqrt(s3_res2)),
+        "L3": float(np.sqrt(np.sum((l3_orders - l3) ** 2 * ring_power))),
     }
     return ObservableReport(
         energy=energy,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eps_plus", "eps_plus_angles", "eps_minus", "helicity_basis", "sigma3"]
+__all__ = ["eps_plus", "eps_plus_angles", "eps_minus", "helicity_basis"]
 
 _POLE_TOL = 1e-12
 
@@ -80,11 +80,3 @@ def helicity_basis(direction):
     conj = np.conj(ep)  # a named operand, for the reason in eps_plus_angles
     return ep, 1j * conj
 
-
-def sigma3(values):
-    """Spin-1 matrix S3 applied componentwise: (S3 v) = (-i v_y, i v_x, 0)."""
-    values = np.asarray(values)
-    out = np.zeros_like(values, dtype=complex)
-    out[..., 0] = -1j * values[..., 1]
-    out[..., 1] = 1j * values[..., 0]
-    return out

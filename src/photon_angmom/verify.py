@@ -42,7 +42,8 @@ from .synthesis import (
     synthesize_fields,
 )
 from .vsh import VshExpansion, analyze, synthesize, vsh_pair
-from .wavefunction import WaveFunction, inner_product, norm, normalize, random_state
+from .wavefunction import (
+    WaveFunction, inner_product, norm, normalize, random_state, transverse_residual)
 
 __all__ = [
     "algebraic_suite",
@@ -159,8 +160,7 @@ def spectral_suite(seed: int = 0):
     for l in (1, 2, 3):
         lv = apply_L(l, v, l_max=l_max, expansion=e)
         pl_sum = pl_sum + grid.kvec[:, l - 1, None] * lv.values
-    r_pl = float(np.sqrt(np.sum(grid.weights * np.einsum(
-        "nc,nc->n", np.conj(pl_sum), pl_sum).real)))
+    r_pl = norm(WaveFunction(grid, pl_sum, check=False))
 
     def l3(u):
         return apply_J3_azimuthal(u) - apply_S(3, u)
@@ -266,8 +266,7 @@ def paraxial_suite(seed: int = 0):
                 r_j3_eig = max(r_j3_eig, abs(mean - spec.m))
                 r_j3_disp = max(r_j3_disp, norm(j3v - v * mean))
             rw = max(rw, norm(apply_W(v) - v * float(spec.w)))
-            kv = np.einsum("nc,nc->n", grid.khat, v.values)
-            rt = max(rt, float(np.abs(kv).max() / np.abs(v.values).max()))
+            rt = max(rt, transverse_residual(v))
         w_res.append(rw)
         t_res.append(rt)
     lx = np.log(np.array(_LG_SWEEP))

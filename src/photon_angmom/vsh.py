@@ -21,9 +21,10 @@ families form a complete orthonormal basis of the transverse subspace at
 each point of the sphere.
 
 The transforms work on the helicity components c_h = conj(eps_h) . v,
-h = +1, -1, of the local basis `polarization.eps_plus` / `eps_minus`
-(cached on the grid's angular nodes as `grid.helicity_basis`).  With
-x = cos(theta),
+h = +1, -1, of the local basis `polarization.eps_plus` / `eps_minus`:
+the first two rows of the frame (eps_+, eps_-, khat) that the grid caches
+on its angular nodes (`grid.frame`, read by
+`WaveFunction.frame_components`).  With x = cos(theta),
 
     conj(eps_+) . Y1_lm = H_+ e^{i(m-1)phi}
     conj(eps_-) . Y1_lm = -i H_- e^{i(m+1)phi}
@@ -40,7 +41,11 @@ is the transpose: it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and
 that alias onto one bin of a coarse azimuthal grid still add; an inverse
 FFT and v = c_+ eps_+ + c_- eps_- follow, transverse by construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
-bandlimited content.
+bandlimited content.  `observable_report` holds the FFT of all three
+frame rows already and hands it to the same contraction
+(`_analyze_spectrum`), so there is one analysis path.  Both transforms
+ask the grid's Legendre table only for the orders up to the window's
+largest |m| + 1.
 """
 
 from __future__ import annotations
@@ -274,7 +279,14 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     fitting the grid (the transform itself stays exact in that case even
     on coarse azimuthal grids).  Longitudinal content of v is ignored.
     """
-    grid = v.grid
+    spectrum = np.fft.fft(v.frame_components()[:2], axis=-1)
+    return _analyze_spectrum(v.grid, spectrum, l_max, m_window)
+
+
+def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> VshExpansion:
+    """`analyze` from the phi-FFT of the frame components of v,
+    spectrum[a, k, theta, mu] = sum_phi e^{-i mu phi} c_a; only the rows
+    c_plus and c_minus are read."""
     spec = grid.spec
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -295,19 +307,17 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
         if m_min > m_max or m_min < -l_max or m_max > l_max:
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
-    table = grid.legendre(l_max + 1)
+    table = grid.legendre(l_max + 1, max(-m_min, m_max) + 1)
     n_k, n_theta, n_phi = grid.shape
     ms = np.arange(m_min, m_max + 1)
     weights = _ladder_weights(l_max, ms)
     # the phi and polar quadrature, folded into the x-mix
     quad = (2.0 * np.pi / n_phi) * grid.x_weights
     mix = quad * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
-    # moments[h, k, theta, mu] = sum_phi e^{-i mu phi} c_h
-    moments = np.fft.fft(v.helicity_components().reshape(2, n_k, n_theta, n_phi), axis=-1)
     # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
     p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
     for i, m in enumerate(ms):
-        picked = moments[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]]
+        picked = spectrum[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]]
         rows = _helicity_rows(table, weights[i], mix, m)
         p[..., i] = picked @ rows.transpose(0, 2, 1)
     # with the -i of H_- conjugated into p_- = i p[1]:
@@ -323,10 +333,10 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
     elif grid.spec != e.grid.spec:
         raise ValueError("expansion was built on an incompatible grid")
     n_k, n_theta, n_phi = grid.shape
-    table = grid.legendre(e.l_max + 1)
     # a shifted window (J+- of an expansion) may reach past |m| = l_max,
     # where every slot is structurally zero
     ms = np.arange(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1)
+    table = grid.legendre(e.l_max + 1, np.abs(ms).max(initial=0) + 1)
     weights = _ladder_weights(e.l_max, ms)
     mix = _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
     a1, a2 = e.coeffs[..., ms - e.m_min]

@@ -3,7 +3,10 @@
 A state is a complex array of Cartesian components v(k) with shape
 (n_nodes, 3), constrained to the transverse subspace khat . v = 0.  The
 inner product is <u, v> = int d^3k conj(u) . v; every quantum expectation
-in the package reduces to this quadrature.
+in the package reduces to this quadrature.  The operators read a state in
+the grid's local frame (eps_plus, eps_minus, khat) through
+`WaveFunction.frame_components`; `WaveFunction.from_helicity` is the
+inverse.
 """
 
 from __future__ import annotations
@@ -82,19 +85,31 @@ class WaveFunction:
 
     @classmethod
     def from_helicity(cls, grid: WaveVectorGrid, c):
-        """The state c_plus eps_plus + c_minus eps_minus, transverse by
-        construction, from amplitudes c of shape (2, n_nodes) or
-        (2, n_k, n_theta, n_phi); the inverse of `helicity_components`."""
-        ep, em = grid.helicity_basis
-        c = c.reshape((2,) + grid.shape + (1,))
-        return cls(grid, (c[0] * ep + c[1] * em).reshape(-1, 3), check=False)
+        """The state sum_a c_a f_a over the rows f = (eps_plus, eps_minus,
+        khat) of `grid.frame`, from amplitudes c of shape (r, n_nodes) or
+        (r, n_k, n_theta, n_phi): r = 2 rows (c_plus, c_minus) give a state
+        transverse by construction, r = 3 rows add the longitudinal c_0.
+        The inverse of `frame_components` and `helicity_components`."""
+        c = c.reshape(c.shape[:1] + grid.shape)
+        vals = np.empty(grid.shape + (3,), dtype=complex)
+        # one Cartesian component at a time, so that every product runs
+        # along the contiguous phi axis, not along a length-3 axis
+        for j, f in enumerate(np.moveaxis(grid.frame, -1, 0)):
+            vals[..., j] = sum((c[a] * f[a] for a in range(1, len(c))), start=c[0] * f[0])
+        return cls(grid, vals.reshape(-1, 3), check=False)
+
+    def frame_components(self):
+        """Amplitudes c = (c_plus, c_minus, c_0) = (conj(eps_+) . v,
+        conj(eps_-) . v, khat . v) in the grid's local frame, shape
+        (3, n_k, n_theta, n_phi).  c_0 is the longitudinal part, zero for
+        a transverse state; phi is the last axis."""
+        basis = np.conj(self.grid.frame)
+        return np.einsum("atpc,ktpc->aktp", basis, self.grid.node_fields(self.values))
 
     def helicity_components(self):
-        """Amplitudes (c_plus, c_minus) = conj(eps_+-) . v in the local
-        helicity basis, as an array of shape (2, n_nodes)."""
-        basis = np.conj(self.grid.helicity_basis)
-        vals = self.grid.node_fields(self.values)
-        return np.einsum("htpc,ktpc->hktp", basis, vals).reshape(2, -1)
+        """(c_plus, c_minus), the transverse rows of `frame_components`,
+        as an array of shape (2, n_nodes)."""
+        return self.frame_components()[:2].reshape(2, -1)
 
 
 def inner_product(u: WaveFunction, v: WaveFunction) -> complex:

@@ -229,6 +229,20 @@ def test_builders_reject_unresolved_azimuthal_orders(n_phi):
         build_j3_w_eigenstate(_j3w_spec(9, 1), g)
 
 
+@pytest.mark.parametrize("n_phi", [5, 6])
+def test_vector_lg_rejects_unresolved_opposite_helicity_order(n_phi):
+    # m = 2, w = 1 puts x, y on order 1 and z on order 2, which n_phi = 5
+    # resolves; its opposite-helicity frame row c_- sits on order 3, which
+    # aliases (on n_phi = 6 onto the Nyquist bin) and would corrupt J3
+    g = build_grid(GridSpec(n_k=4, k_min=0.94, k_max=1.06, n_theta=64, n_phi=n_phi))
+    lg = ModeSpec(kind="vector_lg", m=2, w=1, p=1, w0=25.0, k_fixed=1.0)
+    with pytest.raises(ValueError, match="n_phi"):
+        build_vector_lg(lg, g)
+    v = build_vector_lg(lg, build_grid(GridSpec(n_k=4, k_min=0.94, k_max=1.06,
+                                                n_theta=64, n_phi=7)))
+    assert norm(apply_J3_azimuthal(v) - 2.0 * v) < 1e-13
+
+
 @pytest.mark.parametrize("n_phi", [21, 22])
 def test_builders_resolve_orders_up_to_the_band_edge(n_phi):
     # the highest order 10 fits both the odd and the even band: J3 stays exact

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from photon_angmom import operators
 from photon_angmom.grid import GridSpec, build_grid
+from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.operators import (
     _khat_cross,
     apply_J,
@@ -11,11 +13,12 @@ from photon_angmom.operators import (
     apply_P,
     apply_S,
     apply_W,
+    azimuthal_support,
     azimuthal_window,
     expansion_inner,
     observable_report,
 )
-from photon_angmom.polarization import helicity_basis, sigma3
+from photon_angmom.polarization import helicity_basis
 from photon_angmom.vsh import VshExpansion, analyze, synthesize
 from photon_angmom.wavefunction import (
     WaveFunction,
@@ -275,23 +278,76 @@ def test_khat_cross_matches_np_cross(grid):
     assert np.array_equal(got[on_axis], np.cross(grid.khat[on_axis], raw[on_axis]))
 
 
+def sigma3(values):
+    """Spin-1 matrix S3 applied componentwise: (S3 v) = (-i v_y, i v_x, 0)."""
+    values = np.asarray(values)
+    out = np.zeros_like(values, dtype=complex)
+    out[..., 0] = -1j * values[..., 1]
+    out[..., 1] = 1j * values[..., 0]
+    return out
+
+
+def test_sigma3_action():
+    v = np.array([[1.0 + 0j, 2.0, 3.0]])
+    out = sigma3(v)
+    np.testing.assert_allclose(out, [[-2j, 1j, 0.0]], atol=1e-15)
+    # eigenvectors: (1, i, 0) has eigenvalue +1, (1, -i, 0) has -1
+    vp = np.array([[1.0, 1j, 0.0]])
+    vm = np.array([[1.0, -1j, 0.0]])
+    np.testing.assert_allclose(sigma3(vp), vp, atol=1e-15)
+    np.testing.assert_allclose(sigma3(vm), -vm, atol=1e-15)
+
+
 def test_J3_azimuthal_matches_strided_fft(grid):
-    # oracle: the FFT taken along the strided phi axis of the node-major cube
+    # oracle: the Cartesian J3 = -i d/dphi + Sigma3, with the FFT taken along
+    # the strided phi axis of the node-major cube.  The states are bandlimited
+    # (l <= 10 on n_phi = 28), so no Cartesian channel reaches the Nyquist bin
+    # and both frames resolve every order.
     mu = np.rint(np.fft.fftfreq(grid.spec.n_phi) * grid.spec.n_phi)
-    for seed in (6, 7):
-        v = random_state(grid, seed=seed)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        e = VshExpansion.zero(grid, l_max=10)
+        e.coeffs[:] = rng.standard_normal(e.coeffs.shape) \
+            + 1j * rng.standard_normal(e.coeffs.shape)
+        v = normalize(synthesize(e))
         cube = v.values.reshape(grid.shape + (3,))
         orb = np.fft.ifft(np.fft.fft(cube, axis=2) * mu[None, None, :, None], axis=2)
-        want = orb.reshape(-1, 3) + sigma3(v.values)
-        assert np.array_equal(apply_J3_azimuthal(v).values, want)
+        want = WaveFunction(grid, orb.reshape(-1, 3) + sigma3(v.values), check=False)
+        assert _rel(apply_J3_azimuthal(v) - want, want) < 1e-13
+
+
+def test_J3_azimuthal_resolves_order_on_cartesian_nyquist_bin():
+    # e^{4 i phi} eps_+ is a J3 = 5 eigenstate.  Its x + i y channel carries
+    # order 6, the Nyquist bin of n_phi = 12, where a Cartesian FFT cannot
+    # tell +6 from -6; its helicity row c_+ sits on bin 4.
+    g = build_grid(GridSpec(n_k=4, k_min=0.5, k_max=1.5, n_theta=16, n_phi=12))
+    ep, _ = helicity_basis(g.khat)
+    radial = np.exp(-((g.k - 1.0) ** 2) / 0.1)
+    v = normalize(WaveFunction(g, (radial * np.exp(4j * g.phi))[:, None] * ep))
+    assert norm(apply_J3_azimuthal(v) - 5.0 * v) <= 1e-13
+    rep = observable_report(v)
+    assert abs(rep.total_am[2] - 5.0) <= 1e-12
+    assert rep.eigen_residuals["J3"] <= 1e-12
+    assert all((bins != -6).all() for bins in azimuthal_support(v).values())
+
+
+def _readme_lg():
+    g = build_grid(GridSpec(n_k=8, k_min=0.94, k_max=1.06, n_theta=256, n_phi=12))
+    return build_mode(ModeSpec(kind="vector_lg", m=2, w=-1, p=1, w0=25.0, k_fixed=1.0), g)
 
 
 def test_observable_report_spin_entries_match_apply_S_and_W(grid):
+    # the report reads S, W, J3 and L3 off frame densities and one phi-FFT;
+    # the operators applied to v are the oracle
     ep, em = helicity_basis(grid.khat)
     g = np.exp(-((grid.k - 1.0) ** 2) / 0.08)
     tilted = normalize(WaveFunction(
         grid, (g * np.exp(1j * grid.phi))[:, None] * (ep + 0.3 * em), check=False))
-    for v in (random_state(grid, seed=13), tilted):
+    # a longitudinal row c_0 on both: the paraxial LG mode and the projected carrier
+    projected = build_mode(ModeSpec(
+        kind="sam_wavepacket", w=1, s_direction=(0.4, 0.1, 1.0), kappa=8.0,
+        radial_profile={"k0": 1.2, "sigma_k": 0.2}, carrier="projected"), grid)
+    for v in (random_state(grid, seed=13), tilted, _readme_lg(), projected):
         d = observable_report(v).to_dict()
         sv = [apply_S(ax, v) for ax in (1, 2, 3)]
         sam = np.array([inner_product(v, s).real for s in sv])
@@ -305,19 +361,40 @@ def test_observable_report_spin_entries_match_apply_S_and_W(grid):
         j3 = inner_product(v, j3v).real
 
         def dispersion(ov, mean):
-            diff = ov.values - mean * v.values
-            return float(np.sqrt(np.sum(grid.weights * np.einsum(
-                "nc,nc->n", np.conj(diff), diff).real)))
+            return norm(ov - v * mean)
 
-        assert d["sam"] == list(sam)
-        assert d["sam_second_moments"] == [list(row) for row in second]
-        assert d["sam_variance"] == [list(row) for row in second - np.outer(sam, sam)]
-        assert d["helicity"] == helicity
-        assert d["total_am"][2] == j3
-        assert d["oam"] == list(np.array(d["total_am"]) - sam)
-        assert d["eigen_residuals"] == {
-            "J3": dispersion(j3v, j3),
-            "W": dispersion(wv, helicity),
-            "S3": dispersion(sv[2], sam[2]),
-            "L3": dispersion(j3v - sv[2], j3 - sam[2]),
+        want = {
+            "sam": sam,
+            "sam_second_moments": second,
+            "sam_variance": second - np.outer(sam, sam),
+            "helicity": helicity,
+            "total_am": j3,
+            "oam": j3 - sam[2],
+            "eigen_residuals": [
+                dispersion(j3v, j3),
+                dispersion(wv, helicity),
+                dispersion(sv[2], sam[2]),
+                dispersion(j3v - sv[2], j3 - sam[2]),
+            ],
         }
+        got = dict(d, total_am=d["total_am"][2], oam=d["oam"][2],
+                   eigen_residuals=[d["eigen_residuals"][k] for k in ("J3", "W", "S3", "L3")])
+        for key, value in want.items():
+            np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-13, err_msg=key)
+        np.testing.assert_allclose(d["oam"], np.array(d["total_am"]) - sam, rtol=0, atol=1e-13)
+
+
+def test_observable_report_takes_one_fft_and_no_operator(grid, monkeypatch):
+    calls = {"fft": 0, "ifft": 0, "_khat_cross": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    monkeypatch.setattr(operators, "_khat_cross", counted("_khat_cross", _khat_cross))
+    observable_report(random_state(grid, seed=14))
+    assert calls == {"fft": 1, "ifft": 0, "_khat_cross": 0}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from photon_angmom.grid import GridSpec, build_grid
-from photon_angmom.polarization import eps_minus, eps_plus, helicity_basis, sigma3
+from photon_angmom.polarization import eps_minus, eps_plus, helicity_basis
 
 
 def _directions(seed=7, n=500):
@@ -94,13 +94,3 @@ def test_grid_nodes_avoid_poles():
         np.einsum("nc,nc->n", np.conj(em), em), 1.0, atol=1e-13
     )
 
-
-def test_sigma3_action():
-    v = np.array([[1.0 + 0j, 2.0, 3.0]])
-    out = sigma3(v)
-    np.testing.assert_allclose(out, [[-2j, 1j, 0.0]], atol=1e-15)
-    # eigenvectors: (1, i, 0) has eigenvalue +1, (1, -i, 0) has -1
-    vp = np.array([[1.0, 1j, 0.0]])
-    vm = np.array([[1.0, -1j, 0.0]])
-    np.testing.assert_allclose(sigma3(vp), vp, atol=1e-15)
-    np.testing.assert_allclose(sigma3(vm), -vm, atol=1e-15)
