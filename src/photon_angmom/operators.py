@@ -152,12 +152,9 @@ def apply_J3_azimuthal(v: WaveFunction) -> WaveFunction:
 
     Exact for grid-resolved azimuthal content.
     """
-    # c becomes its phi-FFT, times the J3 orders, then the inverse FFT, in
-    # place: three fewer arrays of the state's size per call
-    c = v.frame_components()
-    np.fft.fft(c, axis=-1, out=c)
-    c *= (_bins(v.grid) + _H[:, None])[:, None, None, :]
-    return WaveFunction.from_helicity(v.grid, np.fft.ifft(c, axis=-1, out=c))
+    spectrum = np.fft.fft(v.frame_components(), axis=-1)
+    spectrum *= (_bins(v.grid) + _H[:, None])[:, None, None, :]
+    return WaveFunction.from_frame(v.grid, np.fft.ifft(spectrum, axis=-1))
 
 
 def apply_L(axis: int, v: WaveFunction, l_max: int = 16,

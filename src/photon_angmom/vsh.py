@@ -279,7 +279,7 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     fitting the grid (the transform itself stays exact in that case even
     on coarse azimuthal grids).  Longitudinal content of v is ignored.
     """
-    spectrum = np.fft.fft(v.frame_components()[:2], axis=-1)
+    spectrum = np.fft.fft(v.frame_components(rows=2), axis=-1)
     return _analyze_spectrum(v.grid, spectrum, l_max, m_window)
 
 
@@ -350,4 +350,4 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
         rows = _helicity_rows(table, weights[i], mix, m)
         bins[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]] += q[..., i] @ rows
     # the inverse FFT evaluates the amplitudes at the azimuthal nodes
-    return WaveFunction.from_helicity(grid, np.fft.ifft(bins, axis=-1, norm="forward"))
+    return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))

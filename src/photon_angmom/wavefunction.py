@@ -5,7 +5,7 @@ A state is a complex array of Cartesian components v(k) with shape
 inner product is <u, v> = int d^3k conj(u) . v; every quantum expectation
 in the package reduces to this quadrature.  The operators read a state in
 the grid's local frame (eps_plus, eps_minus, khat) through
-`WaveFunction.frame_components`; `WaveFunction.from_helicity` is the
+`WaveFunction.frame_components`; `WaveFunction.from_frame` is the
 inverse.
 """
 
@@ -84,32 +84,32 @@ class WaveFunction:
         return project_transverse(self.grid, self.values)
 
     @classmethod
-    def from_helicity(cls, grid: WaveVectorGrid, c):
+    def from_frame(cls, grid: WaveVectorGrid, c):
         """The state sum_a c_a f_a over the rows f = (eps_plus, eps_minus,
         khat) of `grid.frame`, from amplitudes c of shape (r, n_nodes) or
         (r, n_k, n_theta, n_phi): r = 2 rows (c_plus, c_minus) give a state
         transverse by construction, r = 3 rows add the longitudinal c_0.
-        The inverse of `frame_components` and `helicity_components`."""
+        The inverse of `frame_components`."""
         c = c.reshape(c.shape[:1] + grid.shape)
-        vals = np.empty(grid.shape + (3,), dtype=complex)
-        # one Cartesian component at a time, so that every product runs
-        # along the contiguous phi axis, not along a length-3 axis
-        for j, f in enumerate(np.moveaxis(grid.frame, -1, 0)):
-            vals[..., j] = sum((c[a] * f[a] for a in range(1, len(c))), start=c[0] * f[0])
-        return cls(grid, vals.reshape(-1, 3), check=False)
+        # one Cartesian component plane at a time, so that every product
+        # runs along the contiguous phi axis into a reused buffer; the
+        # planes are interleaved into (n_nodes, 3) once, at the end
+        planes = np.empty((3,) + grid.shape, dtype=complex)
+        tmp = np.empty(grid.shape, dtype=complex)
+        for out, f in zip(planes, np.moveaxis(grid.frame, -1, 0)):
+            np.multiply(c[0], f[0], out=out)
+            for a in range(1, len(c)):
+                out += np.multiply(c[a], f[a], out=tmp)
+        return cls(grid, np.moveaxis(planes, 0, -1).reshape(-1, 3), check=False)
 
-    def frame_components(self):
+    def frame_components(self, rows: int = 3):
         """Amplitudes c = (c_plus, c_minus, c_0) = (conj(eps_+) . v,
         conj(eps_-) . v, khat . v) in the grid's local frame, shape
-        (3, n_k, n_theta, n_phi).  c_0 is the longitudinal part, zero for
-        a transverse state; phi is the last axis."""
-        basis = np.conj(self.grid.frame)
+        (rows, n_k, n_theta, n_phi); phi is the last axis.  rows = 2 gives
+        the transverse rows (c_plus, c_minus) only.  c_0 is the
+        longitudinal part, zero for a transverse state."""
+        basis = np.conj(self.grid.frame[:rows])
         return np.einsum("atpc,ktpc->aktp", basis, self.grid.node_fields(self.values))
-
-    def helicity_components(self):
-        """(c_plus, c_minus), the transverse rows of `frame_components`,
-        as an array of shape (2, n_nodes)."""
-        return self.frame_components()[:2].reshape(2, -1)
 
 
 def inner_product(u: WaveFunction, v: WaveFunction) -> complex:
@@ -163,4 +163,4 @@ def random_state(grid: WaveVectorGrid, seed: int = 0) -> WaveFunction:
     rng = np.random.default_rng(seed)
     cp = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
     cm = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
-    return normalize(WaveFunction.from_helicity(grid, np.stack([cp, cm])))
+    return normalize(WaveFunction.from_frame(grid, np.stack([cp, cm])))

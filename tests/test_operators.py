@@ -398,3 +398,19 @@ def test_observable_report_takes_one_fft_and_no_operator(grid, monkeypatch):
     monkeypatch.setattr(operators, "_khat_cross", counted("_khat_cross", _khat_cross))
     observable_report(random_state(grid, seed=14))
     assert calls == {"fft": 1, "ifft": 0, "_khat_cross": 0}
+
+
+def test_fft_calls_fit_the_numpy_1_signature(grid, monkeypatch):
+    # pyproject allows numpy >= 1.24, whose fft and ifft take no `out`
+    def numpy_1(fn):
+        def wrapper(a, n=None, axis=-1, norm=None):
+            return fn(a, n=n, axis=axis, norm=norm)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", numpy_1(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", numpy_1(np.fft.ifft))
+    v = random_state(grid, seed=15)
+    apply_J3_azimuthal(v)
+    azimuthal_support(v)
+    observable_report(v)
+    synthesize(analyze(v, 12))

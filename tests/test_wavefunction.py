@@ -56,8 +56,8 @@ def test_inner_product_matches_helicity_sum(grid):
     # with orthonormal local bases, <u,v> = int (conj(up) vp + conj(um) vm)
     u = random_state(grid, seed=3)
     v = random_state(grid, seed=4)
-    up, um = u.helicity_components()
-    vp, vm = v.helicity_components()
+    up, um = u.frame_components(rows=2).reshape(2, -1)
+    vp, vm = v.frame_components(rows=2).reshape(2, -1)
     ref = np.sum(grid.weights * (np.conj(up) * vp + np.conj(um) * vm))
     np.testing.assert_allclose(inner_product(u, v), ref, atol=1e-14)
 
@@ -73,7 +73,7 @@ def test_projection_recovers_transverse_part(grid):
 
 def test_helicity_components_roundtrip(grid):
     v = random_state(grid, seed=8)
-    cp, cm = v.helicity_components()
+    cp, cm = v.frame_components(rows=2).reshape(2, -1)
     ep, em = helicity_basis(grid.khat)
     rebuilt = cp[:, None] * ep + cm[:, None] * em
     np.testing.assert_allclose(rebuilt, v.values, atol=1e-14)
