@@ -24,12 +24,18 @@ exact for states whose azimuthal content fits the grid, with no l
 truncation.  S3 = h cos(theta) is constant on each phi ring, so L3 = J3 - S3
 multiplies the same bin by mu + h_a - h_a cos(theta).
 
-`observable_report` therefore applies no operator: energy, momentum, the
-SAM moments and the W and S3 dispersions are integrals of the densities
-|c_a|^2, and the J3 and L3 moments are Parseval sums over the power of one
-phi-FFT of c.  `apply_S` and `apply_W` act on the Cartesian samples with
+So no mean or dispersion needs an operator applied.  `FrameMoments` is
+the one kernel that reads them: from one `frame_components` conversion it
+forms the weighted densities rho_a = w |c_a|^2, whose integrals give the
+row totals, <S>, <W> and the W and S3 dispersions, and, when first read,
+one phi-FFT of c, whose ring power gives the J3 and L3 means and
+dispersions as Parseval sums.  `observable_report` and the verify programs
+(`paraxial_suite`, `sam_convergence`, `never_eigenstate`) all read their
+moments off it.  `apply_S` and `apply_W` act on the Cartesian samples with
 one khat x v product, (S_l v) = i khat_l (khat x v) and (W v) = i khat x v,
-which is cheaper per call than a round trip through the frame.
+which is cheaper per call than a round trip through the frame; with
+`apply_J3_azimuthal` they are the operators of the identity suites and
+the oracle the kernel is tested against.
 
 J1 and J2 (and through them L = J - S) go the spectral route: Y^(a)_lm are
 exact J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m
@@ -41,14 +47,16 @@ phi-FFT, bins m - h of rows c_+ and c_-.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import WaveVectorGrid
 from .vsh import VshExpansion, _analyze_spectrum, analyze, ladder, synthesize
-from .wavefunction import WaveFunction, norm
+from .wavefunction import WaveFunction
 
 __all__ = [
+    "FrameMoments",
     "ObservableReport",
     "apply_P",
     "apply_S",
@@ -185,8 +193,11 @@ def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
-def _power(spectrum):
-    return spectrum.real ** 2 + spectrum.imag ** 2
+def _power(a):
+    """|a|^2 elementwise, with one temporary."""
+    power = np.square(a.real)
+    power += np.square(a.imag)
+    return power
 
 
 def _support(v: WaveFunction, power, rel_tol: float) -> dict:
@@ -206,7 +217,7 @@ def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
     rel_tol * max |v|; bin mu of row h holds J3 order mu + h.  For even
     n_phi, bin -n_phi/2 is the Nyquist bin.
     """
-    return _support(v, _power(np.fft.fft(v.frame_components(), axis=-1)), rel_tol)
+    return _support(v, FrameMoments(v).power, rel_tol)
 
 
 def _window(support: dict, l_max: int):
@@ -223,6 +234,107 @@ def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
     [-l_max, l_max].
     """
     return _window(azimuthal_support(v, rel_tol), l_max)
+
+
+class FrameMoments:
+    """Means and dispersions of a state, read off its local-frame densities.
+
+    Holds one `frame_components` conversion c of v (rows = 3, or 2 to leave
+    out the longitudinal c_0) and the helicities h of its rows; every other
+    attribute is formed from c on first read.  The weighted densities rho_a = weights |c_a|^2 give the row
+    totals, <S>, <W> and the W and S3 dispersions; one phi-FFT of c gives
+    the J3 and L3 means and dispersions as Parseval sums.  No mean reads
+    c_0, but the dispersions and J3 do, so rows = 2 serves them only on a
+    transverse state.  A dispersion is ||O v - mean v||, which on a
+    normalized state is the report's eigen-residual.
+    """
+
+    def __init__(self, v: WaveFunction, rows: int = 3):
+        self.grid = v.grid
+        self.h = _H[:rows]
+        self.c = v.frame_components(rows)
+
+    @cached_property
+    def rho(self):
+        """rho[a] = weights |c_a|^2 per node, so sum(rho[a] * f) = <c_a, f c_a>."""
+        rho = _power(self.c).reshape(len(self.h), -1)
+        rho *= self.grid.weights
+        return rho
+
+    @cached_property
+    def totals(self):
+        """<c_a, c_a> per row; they sum to ||v||^2."""
+        return self.rho.sum(axis=1)
+
+    @cached_property
+    def _helicity_density(self):
+        return self.rho[0] - self.rho[1]
+
+    @cached_property
+    def sam(self):
+        """<S> = int khat (rho_+ - rho_-), since S = W khat."""
+        return self._helicity_density @ self.grid.khat
+
+    @cached_property
+    def helicity(self) -> float:
+        """<W> = int (rho_+ - rho_-)."""
+        return float(self._helicity_density.sum())
+
+    def w_dispersion(self, about: float) -> float:
+        """||W v - about v||: W multiplies row a by h_a."""
+        return float(np.sqrt((self.h - about) ** 2 @ self.totals))
+
+    @cached_property
+    def s3_dispersion(self) -> float:
+        """||S3 v - <S3> v||: S3 multiplies row a by h_a cos(theta)."""
+        kz = self.grid.khat[:, 2]
+        s3 = self.sam[2]
+        return float(np.sqrt(sum(((h * kz - s3) ** 2) @ r for h, r in zip(self.h, self.rho))))
+
+    @cached_property
+    def spectrum(self):
+        """The phi-FFT C of c: bin mu of row a holds J3 order mu + h_a."""
+        return np.fft.fft(self.c, axis=-1)
+
+    @cached_property
+    def power(self):
+        """|C|^2, shape (rows, n_k, n_theta, n_phi)."""
+        return _power(self.spectrum)
+
+    @cached_property
+    def _ring_power(self):
+        # Parseval: weights sum_phi |c_a|^2 = weights sum_mu |C_a|^2 / n_phi,
+        # and the weights are constant on each (k, theta) ring
+        grid = self.grid
+        ring = grid.weights.reshape(grid.shape)[..., 0] / grid.spec.n_phi
+        return np.einsum("aktm,kt->atm", self.power, ring)
+
+    @cached_property
+    def _j3_orders(self):
+        return (_bins(self.grid) + self.h[:, None])[:, None, :]
+
+    @cached_property
+    def j3(self) -> float:
+        """<J3>: the ring power weighted by the orders mu + h_a."""
+        return float(np.sum(self._j3_orders * self._ring_power))
+
+    @cached_property
+    def j3_dispersion(self) -> float:
+        """||J3 v - <J3> v||."""
+        return float(np.sqrt(np.sum((self._j3_orders - self.j3) ** 2 * self._ring_power)))
+
+    @cached_property
+    def l3(self):
+        """<L3> = <J3> - <S3>."""
+        return self.j3 - self.sam[2]
+
+    @cached_property
+    def l3_dispersion(self) -> float:
+        """||L3 v - <L3> v||: L3 multiplies bin mu of row a by
+        mu + h_a - h_a cos(theta)."""
+        cos = np.cos(self.grid.theta_nodes)[:, None]
+        orders = self._j3_orders - self.h[:, None, None] * cos
+        return float(np.sqrt(np.sum((orders - self.l3) ** 2 * self._ring_power)))
 
 
 def _report_l_max(grid: WaveVectorGrid) -> int:
@@ -268,56 +380,39 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
 
     J1/J2 expectations go through the spectral route with an automatically
     detected azimuthal window; J3, W, S and P are evaluated exactly, from
-    the frame densities and one phi-FFT (see the module docstring).
+    the `FrameMoments` of v (see the module docstring).
     """
-    n = norm(v)
+    moments = FrameMoments(v)
+    n = float(np.sqrt(moments.totals.sum()))
     if abs(n - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized; ||v|| = {n:.12g}")
     grid = v.grid
-    c = v.frame_components()
-    spectrum = np.fft.fft(c, axis=-1)
-
-    # rho[a] = weights |c_a|^2, so that sum(rho[a] * f) = <c_a, f c_a>
-    rho = _power(c).reshape(3, -1) * grid.weights
+    rho = moments.rho
     dens = rho.sum(axis=0)
     energy = float(dens @ grid.k)
     momentum = dens @ grid.kvec
     khat = grid.khat
-    helicity_dens = rho[0] - rho[1]
     spin_dens = rho[0] + rho[1]
-    sam = helicity_dens @ khat
+    sam = moments.sam
     second = np.empty((3, 3))
     for a in range(3):
         for b in range(a, 3):
             second[a, b] = second[b, a] = spin_dens @ (khat[:, a] * khat[:, b])
     variance = second - np.outer(sam, sam)
-    helicity = float(helicity_dens.sum())
-    w_res2 = (_H - helicity) ** 2 @ rho.sum(axis=1)
-    s3_res2 = sum(((h * khat[:, 2] - sam[2]) ** 2) @ r for h, r in zip(_H, rho))
-
-    # Parseval: weights sum_phi |c_a|^2 = weights sum_mu |C_a|^2 / n_phi,
-    # and the weights are constant on each (k, theta) ring
-    power = _power(spectrum)
-    ring = grid.weights.reshape(grid.shape)[..., 0] / grid.spec.n_phi
-    ring_power = np.einsum("aktm,kt->atm", power, ring)
-    j3_orders = (_bins(grid) + _H[:, None])[:, None, :]
-    j3 = float(np.sum(j3_orders * ring_power))
-    l3_orders = j3_orders - _H[:, None, None] * np.cos(grid.theta_nodes)[:, None]
-    l3 = j3 - sam[2]
 
     if l_max is None:
         l_max = _report_l_max(grid)
-    window = _window(_support(v, power, 1e-12), l_max)
-    e = _analyze_spectrum(grid, spectrum, l_max, window)
+    window = _window(_support(v, moments.power, 1e-12), l_max)
+    e = _analyze_spectrum(grid, moments.spectrum, l_max, window)
     j12 = [expansion_inner(e, apply_J(ax, e)).real for ax in (1, 2)]
-    total_am = np.array([j12[0], j12[1], j3])
+    total_am = np.array([j12[0], j12[1], moments.j3])
     oam = total_am - sam
 
     residuals = {
-        "J3": float(np.sqrt(np.sum((j3_orders - j3) ** 2 * ring_power))),
-        "W": float(np.sqrt(w_res2)),
-        "S3": float(np.sqrt(s3_res2)),
-        "L3": float(np.sqrt(np.sum((l3_orders - l3) ** 2 * ring_power))),
+        "J3": moments.j3_dispersion,
+        "W": moments.w_dispersion(moments.helicity),
+        "S3": moments.s3_dispersion,
+        "L3": moments.l3_dispersion,
     }
     return ObservableReport(
         energy=energy,
@@ -325,7 +420,7 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
         total_am=total_am,
         oam=oam,
         sam=sam,
-        helicity=helicity,
+        helicity=moments.helicity,
         sam_second_moments=second,
         sam_variance=variance,
         eigen_residuals=residuals,

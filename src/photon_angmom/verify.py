@@ -8,6 +8,14 @@ so callers (CLI, acceptance tests) can render or gate on them uniformly.
 For order-of-convergence checks, max_residual holds the deviation of the
 fitted order from its nominal value; for "never an eigenstate" checks it
 holds the smallest observed dispersion, which must exceed the tolerance.
+Worst cases are taken with NaN-propagating reductions (`_worst`,
+`np.min`), so a NaN residual fails its row instead of being dropped.
+
+The identity suites apply the operators; the programs that only need a
+mean or a dispersion (`paraxial_suite`, `sam_convergence`,
+`never_eigenstate`) read it off `operators.FrameMoments`, the density and
+Parseval kernel of `observable_report`, with one frame conversion per
+mode and no operator applied.
 
 Suites are deterministic: random states derive from explicit seeds, and
 all grid and lattice parameters are frozen here.  Every program takes an
@@ -17,6 +25,8 @@ SUITES under its CLI name; `run_suite("all")` runs them all.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
@@ -24,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from .grid import GridSpec, build_grid
 from .modes import ModeSpec, build_mode, scalar_lg, theta_distribution
 from .operators import (
+    FrameMoments,
     apply_J,
     apply_J3_azimuthal,
     apply_J_squared,
@@ -43,7 +54,7 @@ from .synthesis import (
 )
 from .vsh import VshExpansion, analyze, synthesize, vsh_pair
 from .wavefunction import (
-    WaveFunction, inner_product, norm, normalize, random_state, transverse_residual)
+    WaveFunction, norm, normalize, random_state, transverse_residual)
 
 __all__ = [
     "algebraic_suite",
@@ -72,6 +83,13 @@ def _row(check, max_residual, tolerance, ok=None):
     }
 
 
+def _worst(*residuals) -> float:
+    """The largest residual, NaN if any is NaN (builtin max drops a NaN)."""
+    if any(map(math.isnan, residuals)):
+        return math.nan
+    return float(max(residuals))
+
+
 def algebraic_suite(seed: int = 0, n_states: int = 20):
     """Pointwise operator identities on random transverse states."""
     grid = build_grid(GridSpec(n_k=6, k_min=0.5, k_max=2.0, n_theta=10, n_phi=12))
@@ -87,20 +105,20 @@ def algebraic_suite(seed: int = 0, n_states: int = 20):
         v = random_state(grid, seed=seed + i)
         sv = [apply_S(l, v) for l in (1, 2, 3)]
         ssv = sum((apply_S(l, sv[l - 1]) for l in (1, 2, 3)), start=v * 0.0)
-        worst["S.S=hbar2"] = max(worst["S.S=hbar2"], norm(ssv - v))
+        worst["S.S=hbar2"] = _worst(worst["S.S=hbar2"], norm(ssv - v))
         wv = apply_W(v)
-        worst["W.W=hbar2"] = max(worst["W.W=hbar2"], norm(apply_W(wv) - v))
+        worst["W.W=hbar2"] = _worst(worst["W.W=hbar2"], norm(apply_W(wv) - v))
         for j, l, n in _EPS_LEVI:
             plus = apply_P(j, sv[l - 1]) - apply_P(l, sv[j - 1])
-            worst["PxS=0"] = max(worst["PxS=0"], norm(plus))
+            worst["PxS=0"] = _worst(worst["PxS=0"], norm(plus))
         for l in (1, 2, 3):
             for m in (1, 2, 3):
                 comm = apply_S(l, sv[m - 1]) - apply_S(m, sv[l - 1])
-                worst["[S_l,S_m]=0"] = max(worst["[S_l,S_m]=0"], norm(comm))
+                worst["[S_l,S_m]=0"] = _worst(worst["[S_l,S_m]=0"], norm(comm))
                 comm_p = apply_S(l, apply_P(m, v)) - apply_P(m, sv[l - 1])
-                worst["[S_l,P_m]=0"] = max(worst["[S_l,P_m]=0"], norm(comm_p))
+                worst["[S_l,P_m]=0"] = _worst(worst["[S_l,P_m]=0"], norm(comm_p))
             comm_w = apply_S(l, wv) - apply_W(sv[l - 1])
-            worst["[S_l,W]=0"] = max(worst["[S_l,W]=0"], norm(comm_w))
+            worst["[S_l,W]=0"] = _worst(worst["[S_l,W]=0"], norm(comm_w))
     return [_row(name, res, 1e-13) for name, res in worst.items()]
 
 
@@ -133,7 +151,7 @@ def spectral_suite(seed: int = 0):
             - apply_J(l, apply_J(j, e))
             - 1j * apply_J(n, e)
         )
-        r_jj = max(r_jj, np.sqrt(d.norm_squared()))
+        r_jj = _worst(r_jj, np.sqrt(d.norm_squared()))
 
     jv = {l: synthesize(apply_J(l, e)) for l in (1, 2, 3)}
     sv = {m: apply_S(m, v) for m in (1, 2, 3)}
@@ -149,7 +167,7 @@ def spectral_suite(seed: int = 0):
             for n in (1, 2, 3):
                 if eps[l, m, n] != 0.0:
                     rhs = rhs + sv[n] * (1j * eps[l, m, n])
-            r_js = max(r_js, norm(lhs - rhs))
+            r_js = _worst(r_js, norm(lhs - rhs))
 
     ls_sum = v * 0.0
     for l in (1, 2, 3):
@@ -212,8 +230,8 @@ def vsh_suite(seed: int = 0):
         vb = synthesize(single)
         nb = norm(vb)
         eb = analyze(vb, l_rt)
-        r_j3 = max(r_j3, norm(synthesize(apply_J(3, eb)) - vb * float(m)) / nb)
-        r_j2 = max(
+        r_j3 = _worst(r_j3, norm(synthesize(apply_J(3, eb)) - vb * float(m)) / nb)
+        r_j2 = _worst(
             r_j2,
             norm(synthesize(apply_J_squared(eb)) - vb * float(l * (l + 1))) / nb,
         )
@@ -247,8 +265,11 @@ def paraxial_suite(seed: int = 0):
     """Vector LG eigenstructure, paraxial convergence orders, scalar norms.
 
     Deterministic; `seed` is accepted for the uniform suite signature.
-    The J3 checks run on the first w0 of the sweep, inside its pass, so each
-    mode is built once.
+    Each mode is built once and read once in the local frame
+    (`FrameMoments`): the W residual about the label w is
+    sqrt(sum_a (h_a - w)^2 <c_a, c_a>), and on the first w0 of the sweep
+    the J3 mean and dispersion are Parseval sums over one phi-FFT.
+    Transversality is measured on the Cartesian samples.
     """
     grid = build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
 
@@ -260,13 +281,13 @@ def paraxial_suite(seed: int = 0):
         rw = 0.0
         rt = 0.0
         for spec, v in _lg_matrix(grid, w0=w0):
+            moments = FrameMoments(v)
             if w0 == _LG_SWEEP[0]:
-                j3v = apply_J3_azimuthal(v)
-                mean = inner_product(v, j3v).real
-                r_j3_eig = max(r_j3_eig, abs(mean - spec.m))
-                r_j3_disp = max(r_j3_disp, norm(j3v - v * mean))
-            rw = max(rw, norm(apply_W(v) - v * float(spec.w)))
-            rt = max(rt, transverse_residual(v))
+                r_j3_eig = _worst(r_j3_eig, abs(moments.j3 - spec.m))
+                r_j3_disp = _worst(r_j3_disp, moments.j3_dispersion)
+            rw = _worst(rw, moments.w_dispersion(spec.w))
+            rt = _worst(rt, transverse_residual(v))
+            del moments  # hold no frame arrays across the next build
         w_res.append(rw)
         t_res.append(rt)
     lx = np.log(np.array(_LG_SWEEP))
@@ -282,16 +303,16 @@ def paraxial_suite(seed: int = 0):
         return float(np.sum(lag_w * np.exp(lag_u) * (np.conj(fa) * fb).real)
                      * 2.0 * np.pi / w0**2)
 
-    r_norm = max(abs(overlap(0, 0, 0) - 1.0), abs(overlap(2, 1, 1) - 1.0),
-                 abs(overlap(-3, 2, 2) - 1.0))
-    r_orth = max(abs(overlap(1, 0, 1)), abs(overlap(1, 0, 2)),
-                 abs(overlap(1, 1, 2)), abs(overlap(-3, 0, 1)))
+    r_norm = _worst(abs(overlap(0, 0, 0) - 1.0), abs(overlap(2, 1, 1) - 1.0),
+                    abs(overlap(-3, 2, 2) - 1.0))
+    r_orth = _worst(abs(overlap(1, 0, 1)), abs(overlap(1, 0, 2)),
+                    abs(overlap(1, 1, 2)), abs(overlap(-3, 0, 1)))
 
     return [
         _row("lg_J3_eigenvalue_error", r_j3_eig, 1e-9),
         _row("lg_J3_eigen_residual", r_j3_disp, 1e-9),
         _row("W_residual_order", abs(w_order - 2.0), 0.2),
-        _row("transversality_order_at_least_2", max(0.0, 2.0 - t_order), 0.2),
+        _row("transversality_order_at_least_2", _worst(0.0, 2.0 - t_order), 0.2),
         _row("scalar_lg_norm_dev", r_norm, 1e-10),
         _row("scalar_lg_p_orthogonality", r_orth, 1e-10),
     ]
@@ -342,10 +363,10 @@ def com_crosscheck_suite(seed: int = 0):
         for key, rel in relative_com_difference(ks, coms[0], scale).items():
             rows.append(_row(f"{key}_realspace_vs_kspace[{name}]", rel, 1e-6))
 
-        drift = max(
-            max(relative_com_difference(coms[0], later, scale).values())
-            for later in coms[1:]
-        )
+        drift = _worst(*(
+            rel for later in coms[1:]
+            for rel in relative_com_difference(coms[0], later, scale).values()
+        ))
         rows.append(_row(f"time_invariance[{name}]", drift, 1e-8))
     return rows
 
@@ -375,7 +396,7 @@ def variance_program(seed: int = 0):
         v = build_mode(spec, grid)
         rep = observable_report(v)
         dist = theta_distribution(spec, grid)
-        dev = max(
+        dev = _worst(
             float(np.abs(rep.sam - dist.sam_expectation()).max()),
             float(np.abs(rep.sam_second_moments - dist.sam_second_moments()).max()),
             float(np.abs(rep.sam_variance - dist.sam_variance()).max()),
@@ -394,24 +415,23 @@ def sam_convergence(seed: int = 0):
     """<S> -> s at empirical order 1/kappa; <W> pinned at the largest kappa.
 
     Deterministic; `seed` is accepted for the uniform suite signature.
+    <S> and <W> are read off the helicity density rho_+ - rho_- of one
+    two-row frame conversion per packet (`FrameMoments`); no mean reads c_0.
     """
     kappas = (50.0, 100.0, 200.0, 400.0)
     grid = build_grid(GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=512, n_phi=16))
     errs = []
-    w_dev = None
     s_hat = np.array([0.0, 0.0, 1.0])
     for kappa in kappas:
         spec = ModeSpec(
             kind="sam_wavepacket", w=1, kappa=kappa, s_direction=(0.0, 0.0, 1.0),
             radial_profile={"k0": 1.0, "sigma_k": 0.1},
         )
-        v = build_mode(spec, grid)
-        sam = np.array([
-            inner_product(v, apply_S(l, v)).real for l in (1, 2, 3)
-        ])
-        errs.append(float(np.linalg.norm(sam - s_hat)))
-        if kappa == kappas[-1]:
-            w_dev = abs(inner_product(v, apply_W(v)).real - 1.0)
+        moments = FrameMoments(build_mode(spec, grid), rows=2)
+        errs.append(float(np.linalg.norm(moments.sam - s_hat)))
+        helicity = moments.helicity
+        del moments  # hold no frame arrays across the next build
+    w_dev = abs(helicity - 1.0)  # at the largest kappa
     slope = np.polyfit(np.log(kappas), np.log(errs), 1)[0]
     return [
         _row("sam_convergence_order_1_over_kappa", abs(slope + 1.0), 0.15),
@@ -427,10 +447,12 @@ def never_eigenstate(seed: int = 0):
     """No J3-W eigenstate is an S3 or L3 eigenstate: dispersions stay > 0.05.
 
     Deterministic; `seed` is accepted for the uniform suite signature.
+    The dispersions are the report's S3 and L3 eigen-residuals, read off
+    one frame conversion per state (`FrameMoments`).
     """
     grid = build_grid(GridSpec(n_k=8, k_min=0.5, k_max=1.5, n_theta=48, n_phi=16))
-    min_s3 = np.inf
-    min_l3 = np.inf
+    s3 = []
+    l3 = []
     for _, prof, _, _ in _VARIANCE_PROFILES:
         for m in _NEVER_M:
             for w in _NEVER_W:
@@ -439,13 +461,12 @@ def never_eigenstate(seed: int = 0):
                     radial_profile={"k0": 1.0, "sigma_k": 0.1},
                     theta_profile=dict(prof),
                 )
-                v = build_mode(spec, grid)
-                s3v = apply_S(3, v)
-                mean_s = inner_product(v, s3v).real
-                min_s3 = min(min_s3, norm(s3v - v * mean_s))
-                l3v = apply_J3_azimuthal(v) - s3v
-                mean_l = inner_product(v, l3v).real
-                min_l3 = min(min_l3, norm(l3v - v * mean_l))
+                moments = FrameMoments(build_mode(spec, grid))
+                s3.append(moments.s3_dispersion)
+                l3.append(moments.l3_dispersion)
+    # np.min, unlike builtin min, keeps a NaN, which then fails its row
+    min_s3 = float(np.min(s3))
+    min_l3 = float(np.min(l3))
     return [
         _row("S3_never_eigenstate_min_dispersion", min_s3, 0.05, ok=min_s3 > 0.05),
         _row("L3_never_eigenstate_min_dispersion", min_l3, 0.05, ok=min_l3 > 0.05),

@@ -1,0 +1,192 @@
+"""The verify programs: moments off the frame kernel, NaN-safe worst cases.
+
+`paraxial_suite`, `sam_convergence` and `never_eigenstate` read their means
+and dispersions off `operators.FrameMoments`; the operators applied to the
+state (`apply_*`, `inner_product`, `norm`) are the oracle.  Every worst case
+must keep a NaN residual, so that the row it feeds fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from photon_angmom import operators, verify
+from photon_angmom.grid import GridSpec, build_grid
+from photon_angmom.modes import ModeSpec, build_mode
+from photon_angmom.operators import (
+    FrameMoments,
+    apply_J3_azimuthal,
+    apply_S,
+    apply_W,
+)
+from photon_angmom.wavefunction import WaveFunction, inner_product, norm
+
+
+def _oracle(v, w=None):
+    """The operator path: means by inner_product, dispersions by norm."""
+    sv = [apply_S(ax, v) for ax in (1, 2, 3)]
+    sam = np.array([inner_product(v, s).real for s in sv])
+    wv = apply_W(v)
+    helicity = inner_product(v, wv).real
+    j3v = apply_J3_azimuthal(v)
+    j3 = inner_product(v, j3v).real
+    l3v = j3v - sv[2]
+    l3 = inner_product(v, l3v).real
+    return {
+        "sam": sam,
+        "helicity": helicity,
+        "W": norm(wv - v * (helicity if w is None else float(w))),
+        "J3": j3,
+        "J3_dispersion": norm(j3v - v * j3),
+        "S3_dispersion": norm(sv[2] - v * sam[2]),
+        "L3": l3,
+        "L3_dispersion": norm(l3v - v * l3),
+    }
+
+
+def _kernel(moments, w=None):
+    return {
+        "sam": moments.sam,
+        "helicity": moments.helicity,
+        "W": moments.w_dispersion(moments.helicity if w is None else w),
+        "J3": moments.j3,
+        "J3_dispersion": moments.j3_dispersion,
+        "S3_dispersion": moments.s3_dispersion,
+        "L3": moments.l3,
+        "L3_dispersion": moments.l3_dispersion,
+    }
+
+
+def _assert_matches(got, want, label):
+    for key, value in want.items():
+        np.testing.assert_allclose(got[key], value, rtol=0, atol=1e-13,
+                                   err_msg=f"{label}: {key}")
+
+
+def test_frame_moments_match_operator_path_on_paraxial_lg():
+    # a subset of the paraxial_suite matrix: c_0 is the O(theta) longitudinal
+    # part, so the W residual about the label w is O((w0 k)^-2), not zero
+    grid = build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
+    for m, p, w, w0 in ((-2, 0, 1, 20.0), (3, 2, -1, 20.0), (1, 1, 1, 67.0)):
+        spec = ModeSpec(kind="vector_lg", m=m, p=p, w=w, w0=w0, k_fixed=1.0,
+                        radial_profile={"sigma_k": 0.02})
+        v = build_mode(spec, grid)
+        label = f"LG m={m} p={p} w={w} w0={w0}"
+        _assert_matches(_kernel(FrameMoments(v), w), _oracle(v, w), label)
+        _assert_matches(_kernel(FrameMoments(v)), _oracle(v), label)
+
+
+def test_frame_moments_match_operator_path_on_j3_w_eigenstates():
+    grid = build_grid(GridSpec(n_k=8, k_min=0.5, k_max=1.5, n_theta=48, n_phi=16))
+    for _, prof, _, _ in verify._VARIANCE_PROFILES:
+        for m in verify._NEVER_M:
+            for w in verify._NEVER_W:
+                spec = ModeSpec(kind="j3_w_eigenstate", m=m, w=w,
+                                radial_profile={"k0": 1.0, "sigma_k": 0.1},
+                                theta_profile=dict(prof))
+                v = build_mode(spec, grid)
+                _assert_matches(_kernel(FrameMoments(v)), _oracle(v),
+                                f"{prof['kind']} m={m} w={w}")
+
+
+def test_frame_moments_match_operator_path_on_sam_wavepacket():
+    # the largest kappa of sam_convergence, read there off two frame rows
+    grid = build_grid(GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=512, n_phi=16))
+    spec = ModeSpec(kind="sam_wavepacket", w=1, kappa=400.0, s_direction=(0.0, 0.0, 1.0),
+                    radial_profile={"k0": 1.0, "sigma_k": 0.1})
+    v = build_mode(spec, grid)
+    want = _oracle(v)
+    _assert_matches(_kernel(FrameMoments(v)), want, "sam_wavepacket")
+    two = FrameMoments(v, rows=2)
+    _assert_matches({"sam": two.sam, "helicity": two.helicity},
+                    {"sam": want["sam"], "helicity": want["helicity"]},
+                    "sam_wavepacket, rows=2")
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("program", ["paraxial_suite", "sam_convergence", "never_eigenstate"])
+def test_frame_programs_apply_no_operator(program, monkeypatch):
+    calls = dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_khat_cross",
+                           "ifft", "frame_components", "build_mode"], 0)
+    for name in ("apply_W", "apply_S", "apply_J3_azimuthal"):
+        wrapped = _counted(calls, name, getattr(operators, name))
+        monkeypatch.setattr(operators, name, wrapped)
+        monkeypatch.setattr(verify, name, wrapped)
+    monkeypatch.setattr(operators, "_khat_cross",
+                        _counted(calls, "_khat_cross", operators._khat_cross))
+    monkeypatch.setattr(np.fft, "ifft", _counted(calls, "ifft", np.fft.ifft))
+    monkeypatch.setattr(WaveFunction, "frame_components",
+                        _counted(calls, "frame_components", WaveFunction.frame_components))
+    monkeypatch.setattr(verify, "build_mode", _counted(calls, "build_mode", verify.build_mode))
+
+    rows = getattr(verify, program)()
+    assert all(row["pass"] for row in rows)
+    assert calls["build_mode"] > 0
+    assert calls["frame_components"] == calls["build_mode"]
+    assert {k: v for k, v in calls.items() if k not in ("frame_components", "build_mode")} \
+        == dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_khat_cross", "ifft"], 0)
+
+
+def _poison_build(monkeypatch, which):
+    """Make the `which`-th mode a verify program builds all NaN."""
+    count = [0]
+    real = verify.build_mode
+
+    def build(spec, grid):
+        v = real(spec, grid)
+        count[0] += 1
+        return v * np.nan if count[0] == which else v
+    monkeypatch.setattr(verify, "build_mode", build)
+
+
+def _failing(rows):
+    return {row["check"] for row in rows if not row["pass"]}
+
+
+def test_nan_residual_fails_algebraic_row(monkeypatch):
+    # builtin max(0.0, nan) is 0.0: the first residual of "S.S=hbar2" was lost
+    count = [0]
+    real = verify.norm
+
+    def poisoned(v):
+        count[0] += 1
+        return math.nan if count[0] == 1 else real(v)
+    monkeypatch.setattr(verify, "norm", poisoned)
+    rows = verify.algebraic_suite(seed=0, n_states=2)
+    assert _failing(rows) == {"S.S=hbar2"}
+    assert math.isnan(rows[0]["max_residual"])
+
+
+def test_nan_mode_fails_paraxial_rows(monkeypatch):
+    _poison_build(monkeypatch, which=1)
+    rows = verify.paraxial_suite()
+    assert _failing(rows) == {"lg_J3_eigenvalue_error", "lg_J3_eigen_residual",
+                              "W_residual_order", "transversality_order_at_least_2"}
+
+
+def test_nan_mode_fails_never_eigenstate_rows(monkeypatch):
+    # builtin min(inf, nan) is inf: a NaN dispersion was lost
+    _poison_build(monkeypatch, which=3)
+    rows = verify.never_eigenstate()
+    assert _failing(rows) == {"S3_never_eigenstate_min_dispersion",
+                              "L3_never_eigenstate_min_dispersion"}
+
+
+def test_nan_com_drift_fails_time_invariance(monkeypatch):
+    # stand-ins for the fields and their COM; only a real-space record holds
+    # a time, so only the comparisons between times (the drift) read NaN
+    monkeypatch.setattr(verify, "_com_states", lambda: (("stub", None, None, 1.0),))
+    monkeypatch.setattr(verify, "k_space_com", lambda v: {"P0": 1.0})
+    monkeypatch.setattr(verify, "synthesize_fields", lambda v, lattice, time: time)
+    monkeypatch.setattr(verify, "real_space_com", lambda t: {"P0": 1.0, "t": t})
+    monkeypatch.setattr(verify, "relative_com_difference",
+                        lambda a, b, scale: {"P0": 0.0, "J3": math.nan if "t" in a else 0.0})
+    rows = verify.com_crosscheck_suite()
+    assert _failing(rows) == {"time_invariance[stub]"}
