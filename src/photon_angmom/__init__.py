@@ -1,7 +1,8 @@
 """Angular momentum of one-photon wavefunctions.
 
 Operators (momentum, spin, orbital and total angular momentum, helicity) act
-on transverse vector amplitudes v(k) sampled on spherical quadrature grids.
+on transverse vector amplitudes v(k) sampled on spherical quadrature grids
+and held in the local frame (eps_+, eps_-, khat) of each node.
 The package also builds the standard eigenmode families, analyzes spin
 uncertainty, and synthesizes real-space fields for cross-checks of the
 constants of motion.

@@ -246,9 +246,10 @@ def write_wavefunction_csv(v, path: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write("k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3\n")
+            values = v.values  # read once: every read forms them anew
             for lo in range(0, grid.n_nodes, _CSV_CHUNK_ROWS):
                 sl = slice(lo, lo + _CSV_CHUNK_ROWS)
-                vals = v.values[sl]
+                vals = values[sl]
                 cols = [grid.k[sl], grid.theta[sl], grid.phi[sl]]
                 for c in range(3):
                     cols += [vals[:, c].real, vals[:, c].imag]

@@ -120,7 +120,7 @@ class WaveVectorGrid:
         Radial weights including the k^2 Jacobian.
     frame : ndarray, shape (3, n_theta, n_phi, 3)
         The local unitary frame (eps_plus, eps_minus, khat) on the angular
-        nodes, built on first use; `helicity_basis` is its first two rows.
+        nodes, built on first use.
     """
 
     def __init__(self, spec: GridSpec):
@@ -175,11 +175,6 @@ class WaveVectorGrid:
         khat = self.khat[:n_ang]
         rows = np.stack(helicity_basis(khat) + (khat,))
         return rows.reshape((3,) + self.shape[1:] + (3,))
-
-    @property
-    def helicity_basis(self):
-        """(eps_plus, eps_minus): the first two rows of `frame`."""
-        return self.frame[:2]
 
     def legendre(self, l_max: int, m_max: int):
         """legendre_normalized table on the polar nodes holding at least

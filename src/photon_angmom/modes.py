@@ -2,12 +2,18 @@
 concentrated about a direction, and paraxial vector Laguerre-Gauss modes.
 
 All builders sample closed-form amplitudes on a WaveVectorGrid and return
-normalized states; nothing here differentiates or iterates.
+normalized states; nothing here differentiates or iterates.  A state
+holds its rows (c_+, c_-, c_0) in the grid's local frame (eps_+, eps_-,
+khat) (`WaveFunction.c`).  The helicity eigenstates are one frame row
+and are written as that row directly; the vector LG mode and the
+projected carrier are closed forms in Cartesian components and are
+converted once, by the `WaveFunction` constructor.
 
 J3-W eigenstates:   v(k) = a(k, theta) e^{i (m - w) phi} eps^(w)(khat)
-with a = radial Gaussian times a theta profile.  Exact J3 and W eigenstates
-for any profile; their S3 dispersion is controlled by the distribution p(x)
-of x = cos(theta) and never vanishes.
+with a = radial Gaussian times a theta profile, that is the one row
+c_w = a e^{i (m - w) phi}.  Exact J3 and W eigenstates for any profile;
+their S3 dispersion is controlled by the distribution p(x) of
+x = cos(theta) and never vanishes.
 
 Spin wave packets: a surface delta concentrated at khat = w s is replaced
 by the von Mises-Fisher kernel exp(kappa khat . (w s)).  The carrier
@@ -37,18 +43,18 @@ on grid.k_nodes, grid.theta_nodes and grid.phi_nodes shaped (n_k, 1, 1),
 (n_k, n_theta, n_phi) products in the same association order as a
 node-by-node evaluation, so the samples are bit-identical to it.  The
 scalar LG closed form, for one, runs on n_k * n_theta nodes, not on
-n_k * n_theta * n_phi.  The helicity vectors come from the grid's
-`helicity_basis`, evaluated once per angular node and broadcast over k.
+n_k * n_theta * n_phi.  The carrier of a spin wave packet is read in
+the grid's frame (`grid.frame`), evaluated once per angular node and
+broadcast over k.
 
 Each builder carries a finite set of azimuthal orders and refuses a grid
 whose n_phi cannot resolve them, since an FFT over n_phi nodes would fold
-them onto other orders.  The operators take that FFT of the local frame
-components c_+, c_- and c_0 (`WaveFunction.frame_components`): a J3
-eigenstate of order m has c_h on the order m - h and c_0 on m.  The
-orders checked cover those bins and the Cartesian ones (m - 1, m, m + 1
-for the J3-W family; m - w on x, y and m on z for vector LG, whose small
-opposite-helicity row c_{-w} sits on m + w), so every bin that J3, the
-report and `vsh.analyze` read is resolved.
+them onto other orders.  The operators take that FFT of the frame rows
+c_+, c_- and c_0: a J3 eigenstate of order m has c_h on the order m - h
+and c_0 on m.  The orders checked cover those bins and the Cartesian
+ones (m - 1, m, m + 1 for the J3-W family; m - w on x, y and m on z for
+vector LG, whose small opposite-helicity row c_{-w} sits on m + w), so
+every bin that J3, the report and `vsh.analyze` read is resolved.
 """
 
 from __future__ import annotations
@@ -271,6 +277,13 @@ def _check_azimuthal_orders(grid: WaveVectorGrid, *orders: int) -> None:
         )
 
 
+def _helicity_state(grid: WaveVectorGrid, w: int, row) -> WaveFunction:
+    """The normalized state whose one nonzero frame row is c_w = row."""
+    c = np.zeros((3,) + grid.shape, dtype=complex)
+    c[0 if w == 1 else 1] = row
+    return normalize(WaveFunction.from_frame(grid, c))
+
+
 def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     """Exact simultaneous J3 (eigenvalue m) and W (eigenvalue w) eigenstate."""
     if spec.kind != "j3_w_eigenstate":
@@ -278,15 +291,13 @@ def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     m, w = spec.m, spec.w
     # e^{i (m - w) phi} eps^(w) carries the Cartesian orders m - 1, m, m + 1
     _check_azimuthal_orders(grid, m - w, m + w)
-    pol = grid.helicity_basis[0 if w == 1 else 1]
     k, theta, phi = _factor_axes(grid)
     amp = (
         _radial_gaussian(k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])
         * _theta_amplitude(spec, theta)
         * np.exp(1j * (m - w) * phi)
     )
-    vals = amp[..., None] * pol
-    return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
+    return _helicity_state(grid, w, amp)
 
 
 @dataclass
@@ -366,10 +377,10 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
         grid.k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"]
     )
     if spec.carrier == "helicity":
-        pol = grid.helicity_basis[0 if spec.w == 1 else 1]
-        amp = np.einsum("tpc,c->tp", np.conj(pol), carrier_vec)
-        vals = grid.node_fields(g * kernel)[..., None] * amp[..., None] * pol
-        return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
+        # the carrier's component along eps^(w), conj(eps^(w)) . eps^(+)(s)
+        amp = np.einsum("tpc,c->tp", np.conj(grid.frame[0 if spec.w == 1 else 1]),
+                        carrier_vec)
+        return _helicity_state(grid, spec.w, grid.node_fields(g * kernel) * amp)
     return normalize(project_transverse(grid, (g * kernel)[:, None] * carrier_vec))
 
 

@@ -3,9 +3,8 @@
 Everything is in natural units (hbar = c = 1): helicity eigenvalues are
 +-1, J3 eigenvalues are the integers m, energies are wavenumbers.
 
-States are stored as Cartesian samples v(k).  The grid caches the local
-unitary frame (eps_+, eps_-, khat) on its angular nodes (`grid.frame`),
-and `WaveFunction.frame_components` reads v in it as
+A state holds its amplitudes in the grid's local unitary frame
+(eps_+, eps_-, khat) (`WaveFunction.c`),
 
     c = (c_+, c_-, c_0) = (conj(eps_+) . v, conj(eps_-) . v, khat . v).
 
@@ -17,25 +16,23 @@ diagonal multipliers in this frame,
 
     P0 by |k|,   P_l by k_l,   W by h,   S_l = khat_l W by h khat_l,
 
-which is the statement S = W khat.  J3 = -i d/dphi + Sigma3 is diagonal
-in the phi-FFT of c: e^{i mu phi} eps_h is a J3 eigenvector of eigenvalue
-mu + h, so J3 multiplies bin mu of row a by mu + h_a (`apply_J3_azimuthal`),
-exact for states whose azimuthal content fits the grid, with no l
-truncation.  S3 = h cos(theta) is constant on each phi ring, so L3 = J3 - S3
+which is the statement S = W khat: the components of S commute, and no
+cross product is needed.  `apply_P`, `apply_S` and `apply_W` multiply c
+by these factors.  J3 = -i d/dphi + Sigma3 is diagonal in the phi-FFT of
+c: e^{i mu phi} eps_h is a J3 eigenvector of eigenvalue mu + h, so J3
+multiplies bin mu of row a by mu + h_a (`apply_J3_azimuthal`), exact for
+states whose azimuthal content fits the grid, with no l truncation.
+S3 = h cos(theta) is constant on each phi ring, so L3 = J3 - S3
 multiplies the same bin by mu + h_a - h_a cos(theta).
 
 So no mean or dispersion needs an operator applied.  `FrameMoments` is
-the one kernel that reads them: from one `frame_components` conversion it
-forms the weighted densities rho_a = w |c_a|^2, whose integrals give the
-row totals, <S>, <W> and the W and S3 dispersions, and, when first read,
-one phi-FFT of c, whose ring power gives the J3 and L3 means and
-dispersions as Parseval sums.  `observable_report` and the verify programs
-(`paraxial_suite`, `sam_convergence`, `never_eigenstate`) all read their
-moments off it.  `apply_S` and `apply_W` act on the Cartesian samples with
-one khat x v product, (S_l v) = i khat_l (khat x v) and (W v) = i khat x v,
-which is cheaper per call than a round trip through the frame; with
-`apply_J3_azimuthal` they are the operators of the identity suites and
-the oracle the kernel is tested against.
+the one kernel that reads them: from c it forms the weighted densities
+rho_a = w |c_a|^2, whose integrals give the row totals, <S>, <W> and the
+W and S3 dispersions, and, when first read, one phi-FFT of c, whose ring
+power gives the J3 and L3 means and dispersions as Parseval sums.
+`observable_report` and the verify programs (`paraxial_suite`,
+`sam_convergence`, `never_eigenstate`) all read their moments off it;
+the operators serve the identity suites.
 
 J1 and J2 (and through them L = J - S) go the spectral route: Y^(a)_lm are
 exact J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m
@@ -53,7 +50,7 @@ import numpy as np
 
 from .grid import WaveVectorGrid
 from .vsh import VshExpansion, _analyze_spectrum, analyze, ladder, synthesize
-from .wavefunction import WaveFunction
+from .wavefunction import WaveFunction, _power
 
 __all__ = [
     "FrameMoments",
@@ -75,6 +72,11 @@ __all__ = [
 _H = np.array([1.0, -1.0, 0.0])
 
 
+def _multiply(v: WaveFunction, factor) -> WaveFunction:
+    """The state with rows c * factor: a diagonal operator in the frame."""
+    return WaveFunction.from_frame(v.grid, v.c * factor)
+
+
 def apply_P(index: int, v: WaveFunction) -> WaveFunction:
     """P^0 (index 0) multiplies by omega = |k|; P_l (index 1..3) by k_l."""
     if index == 0:
@@ -83,35 +85,19 @@ def apply_P(index: int, v: WaveFunction) -> WaveFunction:
         factor = v.grid.kvec[:, index - 1]
     else:
         raise ValueError("index must be 0 (energy) or 1..3")
-    return WaveFunction(v.grid, factor[:, None] * v.values, check=False)
-
-
-def _khat_cross(khat, values):
-    """khat x v per node, component by component.
-
-    The same products and differences as np.cross (which promotes khat to
-    complex), without its per-call axis and broadcast handling.
-    """
-    kx, ky, kz = khat[:, 0], khat[:, 1], khat[:, 2]
-    vx, vy, vz = values[:, 0], values[:, 1], values[:, 2]
-    out = np.empty(values.shape, dtype=complex)
-    np.subtract(ky * vz, kz * vy, out=out[:, 0])
-    np.subtract(kz * vx, kx * vz, out=out[:, 1])
-    np.subtract(kx * vy, ky * vx, out=out[:, 2])
-    return out
+    return _multiply(v, factor.reshape(v.grid.shape))
 
 
 def apply_S(axis: int, v: WaveFunction) -> WaveFunction:
-    """SAM component: (S_l v)_j = i khat_l (khat x v)_j."""
+    """SAM component S_l = khat_l W: row a times h_a khat_l."""
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1..3")
-    cross = _khat_cross(v.grid.khat, v.values)
-    return WaveFunction(v.grid, 1j * v.grid.khat[:, axis - 1][:, None] * cross, check=False)
+    return _multiply(v, _H[:, None, None, None] * v.grid.frame[2, ..., axis - 1])
 
 
 def apply_W(v: WaveFunction) -> WaveFunction:
-    """Helicity: (W v)_j = i (khat x v)_j; multiplies helicity amplitudes by +-1."""
-    return WaveFunction(v.grid, 1j * _khat_cross(v.grid.khat, v.values), check=False)
+    """Helicity W = (khat . S): row a times h_a = +1, -1, 0."""
+    return _multiply(v, _H[:, None, None, None])
 
 
 def _ladder_shift(e: VshExpansion, sign: int) -> VshExpansion:
@@ -160,7 +146,7 @@ def apply_J3_azimuthal(v: WaveFunction) -> WaveFunction:
 
     Exact for grid-resolved azimuthal content.
     """
-    spectrum = np.fft.fft(v.frame_components(), axis=-1)
+    spectrum = np.fft.fft(v.c, axis=-1)
     spectrum *= (_bins(v.grid) + _H[:, None])[:, None, None, :]
     return WaveFunction.from_frame(v.grid, np.fft.ifft(spectrum, axis=-1))
 
@@ -193,17 +179,10 @@ def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
-def _power(a):
-    """|a|^2 elementwise, with one temporary."""
-    power = np.square(a.real)
-    power += np.square(a.imag)
-    return power
-
-
 def _support(v: WaveFunction, power, rel_tol: float) -> dict:
     """`azimuthal_support` from the power |C|^2 of the phi-FFT C of c."""
     n_phi = v.grid.spec.n_phi
-    floor = (rel_tol * max(np.abs(v.values).max(), 1e-300) * n_phi) ** 2
+    floor = (rel_tol * max(v.peak_amplitude(), 1e-300) * n_phi) ** 2
     bins = _bins(v.grid)
     peaks = power.max(axis=(1, 2))
     return {h: bins[peak > floor] for h, peak in zip((1, -1, 0), peaks)}
@@ -214,8 +193,9 @@ def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
 
     Maps the helicity h (+1, -1, 0) of each row to the signed bins mu in
     [-n_phi/2, n_phi/2) whose amplitude on some (k, theta) ring exceeds
-    rel_tol * max |v|; bin mu of row h holds J3 order mu + h.  For even
-    n_phi, bin -n_phi/2 is the Nyquist bin.
+    rel_tol times the largest node amplitude max ||c(n)|| = max ||v(n)||
+    (`WaveFunction.peak_amplitude`); bin mu of row h holds J3 order
+    mu + h.  For even n_phi, bin -n_phi/2 is the Nyquist bin.
     """
     return _support(v, FrameMoments(v).power, rel_tol)
 
@@ -239,25 +219,23 @@ def azimuthal_window(v: WaveFunction, l_max: int, rel_tol: float = 1e-12):
 class FrameMoments:
     """Means and dispersions of a state, read off its local-frame densities.
 
-    Holds one `frame_components` conversion c of v (rows = 3, or 2 to leave
-    out the longitudinal c_0) and the helicities h of its rows; every other
-    attribute is formed from c on first read.  The weighted densities rho_a = weights |c_a|^2 give the row
-    totals, <S>, <W> and the W and S3 dispersions; one phi-FFT of c gives
-    the J3 and L3 means and dispersions as Parseval sums.  No mean reads
-    c_0, but the dispersions and J3 do, so rows = 2 serves them only on a
-    transverse state.  A dispersion is ||O v - mean v||, which on a
-    normalized state is the report's eigen-residual.
+    Holds the frame rows c of v (`WaveFunction.c`, no conversion); every
+    other attribute is formed from c on first read, with h = (+1, -1, 0)
+    the helicities of the rows.  The weighted densities
+    rho_a = weights |c_a|^2 give the row totals, <S>, <W> and the W and S3
+    dispersions; one phi-FFT of c gives the J3 and L3 means and
+    dispersions as Parseval sums.  A dispersion is ||O v - mean v||, which
+    on a normalized state is the report's eigen-residual.
     """
 
-    def __init__(self, v: WaveFunction, rows: int = 3):
+    def __init__(self, v: WaveFunction):
         self.grid = v.grid
-        self.h = _H[:rows]
-        self.c = v.frame_components(rows)
+        self.c = v.c
 
     @cached_property
     def rho(self):
         """rho[a] = weights |c_a|^2 per node, so sum(rho[a] * f) = <c_a, f c_a>."""
-        rho = _power(self.c).reshape(len(self.h), -1)
+        rho = _power(self.c).reshape(3, -1)
         rho *= self.grid.weights
         return rho
 
@@ -282,14 +260,14 @@ class FrameMoments:
 
     def w_dispersion(self, about: float) -> float:
         """||W v - about v||: W multiplies row a by h_a."""
-        return float(np.sqrt((self.h - about) ** 2 @ self.totals))
+        return float(np.sqrt((_H - about) ** 2 @ self.totals))
 
     @cached_property
     def s3_dispersion(self) -> float:
         """||S3 v - <S3> v||: S3 multiplies row a by h_a cos(theta)."""
         kz = self.grid.khat[:, 2]
         s3 = self.sam[2]
-        return float(np.sqrt(sum(((h * kz - s3) ** 2) @ r for h, r in zip(self.h, self.rho))))
+        return float(np.sqrt(sum(((h * kz - s3) ** 2) @ r for h, r in zip(_H, self.rho))))
 
     @cached_property
     def spectrum(self):
@@ -311,7 +289,7 @@ class FrameMoments:
 
     @cached_property
     def _j3_orders(self):
-        return (_bins(self.grid) + self.h[:, None])[:, None, :]
+        return (_bins(self.grid) + _H[:, None])[:, None, :]
 
     @cached_property
     def j3(self) -> float:
@@ -333,7 +311,7 @@ class FrameMoments:
         """||L3 v - <L3> v||: L3 multiplies bin mu of row a by
         mu + h_a - h_a cos(theta)."""
         cos = np.cos(self.grid.theta_nodes)[:, None]
-        orders = self._j3_orders - self.h[:, None, None] * cos
+        orders = self._j3_orders - _H[:, None, None] * cos
         return float(np.sqrt(np.sum((orders - self.l3) ** 2 * self._ring_power)))
 
 

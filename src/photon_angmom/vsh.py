@@ -22,9 +22,9 @@ each point of the sphere.
 
 The transforms work on the helicity components c_h = conj(eps_h) . v,
 h = +1, -1, of the local basis `polarization.eps_plus` / `eps_minus`:
-the first two rows of the frame (eps_+, eps_-, khat) that the grid caches
-on its angular nodes (`grid.frame`, read by
-`WaveFunction.frame_components`).  With x = cos(theta),
+the first two of the frame rows (c_+, c_-, c_0) that a state holds
+(`WaveFunction.c`), so neither transform converts a state.  With
+x = cos(theta),
 
     conj(eps_+) . Y1_lm = H_+ e^{i(m-1)phi}
     conj(eps_-) . Y1_lm = -i H_- e^{i(m+1)phi}
@@ -39,7 +39,8 @@ the coefficients are a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize`
 is the transpose: it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and
 (a2 - i a1) H_- into bin m + 1 of c_-, one order at a time, so orders
 that alias onto one bin of a coarse azimuthal grid still add; an inverse
-FFT and v = c_+ eps_+ + c_- eps_- follow, transverse by construction.
+FFT gives the rows of the state, with c_0 = 0: transverse by
+construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
 bandlimited content.  `observable_report` holds the FFT of all three
 frame rows already and hands it to the same contraction
@@ -279,12 +280,12 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     fitting the grid (the transform itself stays exact in that case even
     on coarse azimuthal grids).  Longitudinal content of v is ignored.
     """
-    spectrum = np.fft.fft(v.frame_components(rows=2), axis=-1)
+    spectrum = np.fft.fft(v.c[:2], axis=-1)
     return _analyze_spectrum(v.grid, spectrum, l_max, m_window)
 
 
 def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> VshExpansion:
-    """`analyze` from the phi-FFT of the frame components of v,
+    """`analyze` from the phi-FFT of the frame rows of v,
     spectrum[a, k, theta, mu] = sum_phi e^{-i mu phi} c_a; only the rows
     c_plus and c_minus are read."""
     spec = grid.spec
@@ -349,5 +350,5 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
     for i, m in enumerate(ms):
         rows = _helicity_rows(table, weights[i], mix, m)
         bins[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]] += q[..., i] @ rows
-    # the inverse FFT evaluates the amplitudes at the azimuthal nodes
+    # the inverse FFT evaluates the amplitudes at the azimuthal nodes; c_0 = 0
     return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))

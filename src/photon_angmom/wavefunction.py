@@ -1,12 +1,24 @@
-"""Transverse one-photon wavefunctions sampled on a grid.
+"""One-photon wavefunctions on a grid, held in the local frame.
 
-A state is a complex array of Cartesian components v(k) with shape
-(n_nodes, 3), constrained to the transverse subspace khat . v = 0.  The
-inner product is <u, v> = int d^3k conj(u) . v; every quantum expectation
-in the package reduces to this quadrature.  The operators read a state in
-the grid's local frame (eps_plus, eps_minus, khat) through
-`WaveFunction.frame_components`; `WaveFunction.from_frame` is the
-inverse.
+A state is sampled on the nodes of a WaveVectorGrid and stored as its
+amplitudes in the grid's local unitary frame f = (eps_plus, eps_minus,
+khat) (`grid.frame`),
+
+    c = (c_+, c_-, c_0) = (conj(eps_+) . v, conj(eps_-) . v, khat . v),
+
+one read-only complex array of shape (3, n_k, n_theta, n_phi), phi last.
+Physical states are transverse, c_0 = 0; the row is kept so that the
+approximately transverse vector LG and projected-carrier states lose
+nothing.  Because the frame is unitary, the inner product
+<u, v> = int d^3k conj(u) . v is the weighted sum of conj(u_a) v_a over
+rows and nodes, and every quantum expectation in the package reduces to
+it.
+
+The Cartesian samples v(k) are the boundary form.  `WaveFunction(grid,
+values)` converts them once (the one forward conversion), and the
+`values` property forms them from c on every read, with no cache; in the
+package only the CSV writer and field synthesis read them.
+`WaveFunction.from_frame` builds a state from its rows directly.
 """
 
 from __future__ import annotations
@@ -26,19 +38,47 @@ __all__ = [
 ]
 
 
+def _power(a):
+    """|a|^2 elementwise, with one temporary."""
+    power = np.square(a.real)
+    power += np.square(a.imag)
+    return power
+
+
+def _node_power(v):
+    """||c(n)||^2 = ||v(n)||^2 at every node, flat in node order."""
+    return _power(v.c).sum(axis=0).ravel()
+
+
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _frame_rows(grid: WaveVectorGrid, values):
+    """The forward conversion c_a = conj(f_a) . v of Cartesian samples of
+    shape (n_nodes, 3) to frame rows of shape (3, n_k, n_theta, n_phi)."""
+    return np.einsum("atpc,ktpc->aktp", np.conj(grid.frame), grid.node_fields(values))
+
+
 class WaveFunction:
-    """Grid samples of a transverse vector amplitude.
+    """Grid samples of a transverse vector amplitude, held as frame rows.
 
     Parameters
     ----------
     grid : WaveVectorGrid
-    values : ndarray, shape (n_nodes, 3)
-        Cartesian components at every node.  Stored as complex128.
+    values : array, shape (n_nodes, 3)
+        Cartesian components at every node, converted once to the rows c.
     check : bool
         When true (default) reject states whose longitudinal content
-        khat . v exceeds an absolute tolerance of 1e-10 relative to the
-        largest component, so operator algebra stays inside the physical
-        subspace.
+        exceeds 1e-10 by `transverse_residual`, so operator algebra stays
+        inside the physical subspace.
+
+    Attributes
+    ----------
+    c : ndarray, shape (3, n_k, n_theta, n_phi), read-only
+        The frame rows (c_+, c_-, c_0), the only samples a state holds.
     """
 
     _CHECK_TOL = 1e-10
@@ -51,27 +91,62 @@ class WaveFunction:
                 f"({grid.n_nodes}, 3)"
             )
         self.grid = grid
-        self.values = values
+        self.c = _read_only(_frame_rows(grid, values))
         if check:
             res = transverse_residual(self)
             if res > self._CHECK_TOL:
                 raise ValueError(
-                    f"state is not transverse: max |khat.v| / max |v| = {res:.3e}"
+                    f"state is not transverse: max |khat.v| / max ||v|| = {res:.3e}"
                 )
 
-    def copy(self):
-        return WaveFunction(self.grid, self.values.copy(), check=False)
+    @classmethod
+    def from_frame(cls, grid: WaveVectorGrid, c):
+        """The state with frame rows c of shape (r, n_nodes) or
+        (r, n_k, n_theta, n_phi), stored as given: r = 3 rows are
+        (c_+, c_-, c_0); r = 2 rows (c_+, c_-) get c_0 = 0, a state
+        transverse by construction."""
+        c = np.asarray(c, dtype=complex)
+        if len(c) not in (2, 3) or c[0].size != grid.n_nodes:
+            raise ValueError(f"frame rows of shape {c.shape} do not match grid {grid.shape}")
+        c = c.reshape(c.shape[:1] + grid.shape)
+        if len(c) == 2:
+            c = np.concatenate([c, np.zeros((1,) + grid.shape, dtype=complex)])
+        v = cls.__new__(cls)
+        v.grid = grid
+        v.c = _read_only(c)
+        return v
+
+    @property
+    def values(self):
+        """Cartesian samples v = sum_a c_a f_a, shape (n_nodes, 3), read-only.
+
+        Formed from c on every read; nothing is cached.
+        """
+        # one Cartesian component plane at a time, so that every product
+        # runs along the contiguous phi axis into a reused buffer; the
+        # planes are interleaved into (n_nodes, 3) once, at the end
+        planes = np.empty((3,) + self.grid.shape, dtype=complex)
+        tmp = np.empty(self.grid.shape, dtype=complex)
+        for out, f in zip(planes, np.moveaxis(self.grid.frame, -1, 0)):
+            np.multiply(self.c[0], f[0], out=out)
+            for a in (1, 2):
+                out += np.multiply(self.c[a], f[a], out=tmp)
+        return _read_only(np.moveaxis(planes, 0, -1).reshape(-1, 3))
+
+    def peak_amplitude(self) -> float:
+        """max over nodes of ||c(n)|| = ||v(n)||, a frame-invariant scale."""
+        return float(np.sqrt(_node_power(self).max()))
 
     def __add__(self, other):
         self._same_grid(other)
-        return WaveFunction(self.grid, self.values + other.values, check=False)
+        return WaveFunction.from_frame(self.grid, self.c + other.c)
 
     def __sub__(self, other):
         self._same_grid(other)
-        return WaveFunction(self.grid, self.values - other.values, check=False)
+        return WaveFunction.from_frame(self.grid, self.c - other.c)
 
     def __mul__(self, scalar):
-        return WaveFunction(self.grid, self.values * scalar, check=False)
+        return WaveFunction.from_frame(self.grid, self.c * scalar)
 
     __rmul__ = __mul__
 
@@ -80,78 +155,45 @@ class WaveFunction:
             raise ValueError("wavefunctions live on different grids")
 
     def project_transverse(self):
-        """Remove longitudinal content: the module-level `project_transverse`."""
-        return project_transverse(self.grid, self.values)
-
-    @classmethod
-    def from_frame(cls, grid: WaveVectorGrid, c):
-        """The state sum_a c_a f_a over the rows f = (eps_plus, eps_minus,
-        khat) of `grid.frame`, from amplitudes c of shape (r, n_nodes) or
-        (r, n_k, n_theta, n_phi): r = 2 rows (c_plus, c_minus) give a state
-        transverse by construction, r = 3 rows add the longitudinal c_0.
-        The inverse of `frame_components`."""
-        c = c.reshape(c.shape[:1] + grid.shape)
-        # one Cartesian component plane at a time, so that every product
-        # runs along the contiguous phi axis into a reused buffer; the
-        # planes are interleaved into (n_nodes, 3) once, at the end
-        planes = np.empty((3,) + grid.shape, dtype=complex)
-        tmp = np.empty(grid.shape, dtype=complex)
-        for out, f in zip(planes, np.moveaxis(grid.frame, -1, 0)):
-            np.multiply(c[0], f[0], out=out)
-            for a in range(1, len(c)):
-                out += np.multiply(c[a], f[a], out=tmp)
-        return cls(grid, np.moveaxis(planes, 0, -1).reshape(-1, 3), check=False)
-
-    def frame_components(self, rows: int = 3):
-        """Amplitudes c = (c_plus, c_minus, c_0) = (conj(eps_+) . v,
-        conj(eps_-) . v, khat . v) in the grid's local frame, shape
-        (rows, n_k, n_theta, n_phi); phi is the last axis.  rows = 2 gives
-        the transverse rows (c_plus, c_minus) only.  c_0 is the
-        longitudinal part, zero for a transverse state."""
-        basis = np.conj(self.grid.frame[:rows])
-        return np.einsum("atpc,ktpc->aktp", basis, self.grid.node_fields(self.values))
+        """The transverse part: the same rows c_+ and c_-, with c_0 = 0."""
+        return WaveFunction.from_frame(self.grid, self.c[:2])
 
 
 def inner_product(u: WaveFunction, v: WaveFunction) -> complex:
-    """Hermitian inner product int d^3k conj(u) . v."""
+    """Hermitian inner product int d^3k conj(u) . v, summed over the frame rows."""
     u._same_grid(v)
-    dots = np.einsum("nc,nc->n", np.conj(u.values), v.values)
+    dots = np.einsum("an,an->n", np.conj(u.c).reshape(3, -1), v.c.reshape(3, -1))
     return complex(np.sum(u.grid.weights * dots))
 
 
 def norm(v: WaveFunction) -> float:
-    return float(np.sqrt(inner_product(v, v).real))
+    """||v|| = sqrt(int d^3k ||c||^2), the weighted sum of the node power."""
+    return float(np.sqrt(np.sum(v.grid.weights * _node_power(v))))
 
 
 def normalize(v: WaveFunction) -> WaveFunction:
     n = norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
-    return WaveFunction(v.grid, v.values / n, check=False)
+    return v * (1.0 / n)
 
 
 def project_transverse(grid: WaveVectorGrid, raw) -> WaveFunction:
     """Apply the projector (delta_jl - khat_j khat_l) to an arbitrary field.
 
-    Accepts any complex (n_nodes, 3) samples and returns the transverse
-    wavefunction; longitudinal input maps to zero.
+    Accepts any complex (n_nodes, 3) Cartesian samples and returns the
+    transverse wavefunction; longitudinal input maps to zero.
     """
-    raw = np.asarray(raw, dtype=complex)
-    if raw.shape != (grid.n_nodes, 3):
-        raise ValueError(
-            f"raw field shape {raw.shape} does not match grid ({grid.n_nodes}, 3)"
-        )
-    lon = np.einsum("nc,nc->n", grid.khat, raw)
-    return WaveFunction(grid, raw - lon[:, None] * grid.khat, check=False)
+    return WaveFunction(grid, raw, check=False).project_transverse()
 
 
 def transverse_residual(v: WaveFunction) -> float:
-    """max |khat . v| over nodes, relative to the largest component magnitude."""
-    lon = np.abs(np.einsum("nc,nc->n", v.grid.khat, v.values))
-    scale = np.abs(v.values).max()
+    """max |c_0| = max |khat . v| over nodes, relative to the largest node
+    amplitude max ||c(n)|| (`WaveFunction.peak_amplitude`)."""
+    scale = v.peak_amplitude()
     if scale == 0.0:
         return 0.0
-    return float(lon.max() / scale)
+    return float(np.abs(v.c[2]).max() / scale)
 
 
 def random_state(grid: WaveVectorGrid, seed: int = 0) -> WaveFunction:

@@ -31,6 +31,13 @@ def grid():
     return build_grid(GridSpec(n_k=12, k_min=0.4, k_max=1.8, n_theta=48, n_phi=14))
 
 
+def _helicity_rows(amp, w):
+    """Frame rows (c_+, c_-, c_0) with amp on the helicity-w row only."""
+    rows = np.zeros((3,) + amp.shape, dtype=complex)
+    rows[0 if w == 1 else 1] = amp
+    return rows
+
+
 def _j3w_spec(m, w, theta_profile=None):
     return ModeSpec(
         kind="j3_w_eigenstate",
@@ -133,15 +140,14 @@ def test_j3_w_factor_axes_match_nodewise_closed_form(grid, theta_profile):
         else:
             h = np.exp(-((grid.theta - 0.4) ** 2) / (4.0 * 0.3**2))
         amp = g * h * np.exp(1j * (m - w) * grid.phi)
-        pol = helicity_basis(grid.khat)[0 if w == 1 else 1]
-        want = normalize(WaveFunction(grid, amp[:, None] * pol, check=False))
-        assert np.array_equal(build_j3_w_eigenstate(spec, grid).values, want.values)
+        want = normalize(WaveFunction.from_frame(grid, _helicity_rows(amp, w)))
+        assert np.array_equal(build_j3_w_eigenstate(spec, grid).c, want.c)
 
 
-# grid.helicity_basis is shared by the builders and random_state; they must
-# equal polarization.helicity_basis evaluated node by node, bit for bit.  The
-# 128 x 130 angular nodes put one basis vector array past 256 KiB, the size
-# from which numpy reuses temporaries in place.
+# grid.frame is shared by the spin packet builder and every `values` read;
+# it must equal polarization.helicity_basis evaluated node by node, bit for
+# bit.  The 128 x 130 angular nodes put one basis vector array past 256 KiB,
+# the size from which numpy reuses temporaries in place.
 @pytest.fixture(scope="module")
 def wide_grid():
     return build_grid(GridSpec(n_k=2, k_min=0.5, k_max=1.5, n_theta=128, n_phi=130))
@@ -168,9 +174,8 @@ def test_sam_helicity_carrier_matches_nodewise_closed_form(wide_grid, nodewise_b
     g = np.exp(-((wide_grid.k - 1.0) ** 2) / (4.0 * 0.2**2))
     pol = nodewise_basis[0 if w == 1 else 1]
     amp = np.einsum("nc,c->n", np.conj(pol), eps_plus(s))
-    vals = (g * kernel * amp)[:, None] * pol
-    want = normalize(WaveFunction(wide_grid, vals, check=False))
-    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).values, want.values)
+    want = normalize(WaveFunction.from_frame(wide_grid, _helicity_rows(g * kernel * amp, w)))
+    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).c, want.c)
 
 
 def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
@@ -178,10 +183,12 @@ def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
     n = wide_grid.n_nodes
     cp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ep, em = nodewise_basis
-    vals = cp[:, None] * ep + cm[:, None] * em
-    want = normalize(WaveFunction(wide_grid, vals, check=False))
-    assert np.array_equal(random_state(wide_grid, seed=5).values, want.values)
+    v = random_state(wide_grid, seed=5)
+    want = normalize(WaveFunction.from_frame(wide_grid, np.stack([cp, cm])))
+    assert np.array_equal(v.c, want.c)
+    # the Cartesian samples, formed on the grid's frame
+    (ep, em), (vp, vm) = nodewise_basis, v.c[:2].reshape(2, -1)
+    assert np.array_equal(v.values, vp[:, None] * ep + vm[:, None] * em)
 
 
 def test_j3_w_eigenstate_eigenvalues(grid):
@@ -413,6 +420,39 @@ def test_vector_lg_approximate_helicity(lg_grid):
     # paraxial residual at the (2/(w0 k))^2 scale
     assert 1e-5 < res < 0.05
     assert transverse_residual(v) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def paraxial_grid():
+    return build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
+
+
+def test_vector_lg_frame_rows_match_closed_form(paraxial_grid):
+    # with a = scalar_lg(m - w, p, w0, k sin(theta), phi) carrier forward / sqrt 2:
+    #   c_w  = a (1 + cos + theta sin) / sqrt 2
+    #   c_-w = -i w e^{2 i w phi} a (cos - 1 + theta sin) / sqrt 2
+    #   c_0  = i^{(1 - w)/2} e^{i w phi} a (sin - theta cos)
+    # so the one Cartesian-to-frame conversion is pinned, up to the norm
+    grid = paraxial_grid
+    k, theta, phi = (grid.node_fields(x) for x in (grid.k, grid.theta, grid.phi))
+    cos, sin = np.cos(theta), np.sin(theta)
+    for m in (-2, 0, 1, 3):
+        for p in (0, 2):
+            for w in (1, -1):
+                spec = ModeSpec(kind="vector_lg", m=m, p=p, w=w, w0=20.0, k_fixed=1.0,
+                                radial_profile={"sigma_k": 0.02})
+                a = (scalar_lg(m - w, p, 20.0, k * sin, phi)
+                     * np.exp(-((k - 1.0) ** 2) / (4.0 * 0.02**2))
+                     * (theta <= 0.5 * np.pi) / np.sqrt(2.0))
+                rows = np.empty((3,) + grid.shape, dtype=complex)
+                rows[0 if w == 1 else 1] = a * (1.0 + cos + theta * sin) / np.sqrt(2.0)
+                rows[1 if w == 1 else 0] = (-1j * w * np.exp(2j * w * phi) * a
+                                            * (cos - 1.0 + theta * sin) / np.sqrt(2.0))
+                rows[2] = 1j ** ((1 - w) // 2) * np.exp(1j * w * phi) * a * (sin - theta * cos)
+                got = build_vector_lg(spec, grid).c
+                want = normalize(WaveFunction.from_frame(grid, rows)).c
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-14, (m, p, w, err)
 
 
 def test_vector_lg_paraxiality_warning(lg_grid):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from photon_angmom import operators
+from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
+from photon_angmom import operators, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.operators import (
-    _khat_cross,
     apply_J,
     apply_J3_azimuthal,
     apply_J_squared,
@@ -25,7 +25,9 @@ from photon_angmom.wavefunction import (
     inner_product,
     norm,
     normalize,
+    project_transverse,
     random_state,
+    transverse_residual,
 )
 
 
@@ -262,20 +264,24 @@ def test_observable_report_rejects_unnormalized(grid):
         observable_report(2.0 * v)
 
 
-def test_khat_cross_matches_np_cross(grid):
-    rng = np.random.default_rng(3)
-    on_axis = grid.phi == 0.0
-    assert on_axis.any() and np.all(grid.khat[on_axis, 1] == 0.0)
-    for seed in (4, 5):
-        v = random_state(grid, seed=seed)
-        assert np.array_equal(_khat_cross(grid.khat, v.values),
-                              np.cross(grid.khat, v.values))
-    # arbitrary (not transverse) samples, with exact zeros on the phi = 0 nodes
-    raw = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-    raw[on_axis, 0] = 0.0
-    got = _khat_cross(grid.khat, raw)
-    assert np.array_equal(got, np.cross(grid.khat, raw))
-    assert np.array_equal(got[on_axis], np.cross(grid.khat[on_axis], raw[on_axis]))
+def _projected_carrier(grid):
+    return build_mode(ModeSpec(
+        kind="sam_wavepacket", w=1, s_direction=(0.4, 0.1, 1.0), kappa=8.0,
+        radial_profile={"k0": 1.2, "sigma_k": 0.2}, carrier="projected"), grid)
+
+
+def test_apply_S_and_W_match_cartesian_cross_product(grid):
+    # the frame multipliers h_a khat_l and h_a against i khat_l (khat x v)
+    # and i khat x v on the Cartesian samples.  Vector LG carries a small
+    # longitudinal row c_0 and the padded state a large one; both forms drop it
+    rand = random_state(grid, seed=4)
+    padded = rand + WaveFunction(grid, grid.khat * rand.values[:, :1], check=False)
+    for v in (rand, _readme_lg(), _projected_carrier(grid), padded):
+        atol = 1e-13 * np.abs(v.values).max()
+        np.testing.assert_allclose(apply_W(v).values, cross_W(v), rtol=0, atol=atol)
+        for ax in (1, 2, 3):
+            np.testing.assert_allclose(apply_S(ax, v).values, cross_S(ax, v),
+                                       rtol=0, atol=atol)
 
 
 def sigma3(values):
@@ -338,30 +344,34 @@ def _readme_lg():
 
 def test_observable_report_spin_entries_match_apply_S_and_W(grid):
     # the report reads S, W, J3 and L3 off frame densities and one phi-FFT;
-    # the operators applied to v are the oracle
+    # the oracle is the Cartesian cross product and inner product on the
+    # samples v, with J3 applied (`test_J3_azimuthal_matches_strided_fft`)
     ep, em = helicity_basis(grid.khat)
     g = np.exp(-((grid.k - 1.0) ** 2) / 0.08)
     tilted = normalize(WaveFunction(
         grid, (g * np.exp(1j * grid.phi))[:, None] * (ep + 0.3 * em), check=False))
-    # a longitudinal row c_0 on both: the paraxial LG mode and the projected carrier
-    projected = build_mode(ModeSpec(
-        kind="sam_wavepacket", w=1, s_direction=(0.4, 0.1, 1.0), kappa=8.0,
-        radial_profile={"k0": 1.2, "sigma_k": 0.2}, carrier="projected"), grid)
-    for v in (random_state(grid, seed=13), tilted, _readme_lg(), projected):
+    # the paraxial LG mode carries a longitudinal row c_0; it and the
+    # projected carrier are converted from Cartesian closed forms
+    for v in (random_state(grid, seed=13), tilted, _readme_lg(), _projected_carrier(grid)):
         d = observable_report(v).to_dict()
-        sv = [apply_S(ax, v) for ax in (1, 2, 3)]
-        sam = np.array([inner_product(v, s).real for s in sv])
+        vals = v.values
+
+        def inner(a, b):
+            return cartesian_inner(v.grid, a, b).real
+
+        sv = [cross_S(ax, v) for ax in (1, 2, 3)]
+        sam = np.array([inner(vals, s) for s in sv])
         second = np.empty((3, 3))
         for a in range(3):
             for b in range(a, 3):
-                second[a, b] = second[b, a] = inner_product(sv[a], sv[b]).real
-        wv = apply_W(v)
-        helicity = inner_product(v, wv).real
-        j3v = apply_J3_azimuthal(v)
-        j3 = inner_product(v, j3v).real
+                second[a, b] = second[b, a] = inner(sv[a], sv[b])
+        wv = cross_W(v)
+        helicity = inner(vals, wv)
+        j3v = apply_J3_azimuthal(v).values
+        j3 = inner(vals, j3v)
 
         def dispersion(ov, mean):
-            return norm(ov - v * mean)
+            return cartesian_norm(v.grid, ov - vals * mean)
 
         want = {
             "sam": sam,
@@ -384,20 +394,53 @@ def test_observable_report_spin_entries_match_apply_S_and_W(grid):
         np.testing.assert_allclose(d["oam"], np.array(d["total_am"]) - sam, rtol=0, atol=1e-13)
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_observable_report_takes_one_fft_and_no_operator(grid, monkeypatch):
-    calls = {"fft": 0, "ifft": 0, "_khat_cross": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
-    monkeypatch.setattr(operators, "_khat_cross", counted("_khat_cross", _khat_cross))
+    calls = {"fft": 0, "ifft": 0, "_multiply": 0}
+    monkeypatch.setattr(np.fft, "fft", _counted(calls, "fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", _counted(calls, "ifft", np.fft.ifft))
+    monkeypatch.setattr(operators, "_multiply",
+                        _counted(calls, "_multiply", operators._multiply))
     observable_report(random_state(grid, seed=14))
-    assert calls == {"fft": 1, "ifft": 0, "_khat_cross": 0}
+    assert calls == {"fft": 1, "ifft": 0, "_multiply": 0}
+
+
+def test_frame_born_state_forms_no_cartesian_samples(grid, monkeypatch):
+    # a state built from its frame rows goes through every frame-native
+    # operation without the forward conversion and without forming `values`
+    calls = {"_frame_rows": 0, "values": 0}
+    monkeypatch.setattr(wavefunction, "_frame_rows",
+                        _counted(calls, "_frame_rows", wavefunction._frame_rows))
+    monkeypatch.setattr(WaveFunction, "values",
+                        property(_counted(calls, "values", WaveFunction.values.fget)))
+    v = random_state(grid, seed=16)
+    observable_report(v)
+    synthesize(analyze(v, 12))
+    for u in (apply_P(0, v), apply_P(2, v), apply_S(1, v), apply_W(v),
+              apply_J3_azimuthal(v), normalize(2.0 * v), v.project_transverse()):
+        norm(u)
+        transverse_residual(u)
+    assert calls == {"_frame_rows": 0, "values": 0}
+    # the Cartesian boundary: one conversion in, one formation out
+    project_transverse(grid, v.values)
+    assert calls == {"_frame_rows": 1, "values": 1}
+
+
+def test_stored_samples_are_read_only(grid):
+    v = random_state(grid, seed=17)
+    with pytest.raises(ValueError):
+        v.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        v.c[0, 0, 0, 0] = 1.0
+    u = WaveFunction(grid, np.ones((grid.n_nodes, 3)), check=False)
+    with pytest.raises(ValueError):
+        u.c[2] *= 0.0
 
 
 def test_fft_calls_fit_the_numpy_1_signature(grid, monkeypatch):
@@ -412,5 +455,5 @@ def test_fft_calls_fit_the_numpy_1_signature(grid, monkeypatch):
     v = random_state(grid, seed=15)
     apply_J3_azimuthal(v)
     azimuthal_support(v)
-    observable_report(v)
+    observable_report(normalize(apply_S(1, v)))
     synthesize(analyze(v, 12))

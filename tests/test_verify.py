@@ -1,9 +1,10 @@
 """The verify programs: moments off the frame kernel, NaN-safe worst cases.
 
 `paraxial_suite`, `sam_convergence` and `never_eigenstate` read their means
-and dispersions off `operators.FrameMoments`; the operators applied to the
-state (`apply_*`, `inner_product`, `norm`) are the oracle.  Every worst case
-must keep a NaN residual, so that the row it feeds fails.
+and dispersions off `operators.FrameMoments`; the Cartesian operator path
+(`oracles`: the cross products for S and W and the component-wise inner
+product on `values`, with J3 applied) is the oracle.  Every worst case must
+keep a NaN residual, so that the row it feeds fails.
 """
 
 import math
@@ -11,37 +12,42 @@ import math
 import numpy as np
 import pytest
 
-from photon_angmom import operators, verify
+from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
+from photon_angmom import cli, operators, verify, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
-from photon_angmom.operators import (
-    FrameMoments,
-    apply_J3_azimuthal,
-    apply_S,
-    apply_W,
-)
-from photon_angmom.wavefunction import WaveFunction, inner_product, norm
+from photon_angmom.operators import FrameMoments, apply_J3_azimuthal
+from photon_angmom.wavefunction import WaveFunction
 
 
 def _oracle(v, w=None):
-    """The operator path: means by inner_product, dispersions by norm."""
-    sv = [apply_S(ax, v) for ax in (1, 2, 3)]
-    sam = np.array([inner_product(v, s).real for s in sv])
-    wv = apply_W(v)
-    helicity = inner_product(v, wv).real
-    j3v = apply_J3_azimuthal(v)
-    j3 = inner_product(v, j3v).real
+    """The Cartesian operator path: means by the component-wise inner
+    product of the samples, dispersions by their norm."""
+    grid, vals = v.grid, v.values
+
+    def mean(ov):
+        return cartesian_inner(grid, vals, ov).real
+
+    def dispersion(ov, about):
+        return cartesian_norm(grid, ov - vals * about)
+
+    sv = [cross_S(ax, v) for ax in (1, 2, 3)]
+    sam = np.array([mean(s) for s in sv])
+    wv = cross_W(v)
+    helicity = mean(wv)
+    j3v = apply_J3_azimuthal(v).values
+    j3 = mean(j3v)
     l3v = j3v - sv[2]
-    l3 = inner_product(v, l3v).real
+    l3 = mean(l3v)
     return {
         "sam": sam,
         "helicity": helicity,
-        "W": norm(wv - v * (helicity if w is None else float(w))),
+        "W": dispersion(wv, helicity if w is None else float(w)),
         "J3": j3,
-        "J3_dispersion": norm(j3v - v * j3),
-        "S3_dispersion": norm(sv[2] - v * sam[2]),
+        "J3_dispersion": dispersion(j3v, j3),
+        "S3_dispersion": dispersion(sv[2], sam[2]),
         "L3": l3,
-        "L3_dispersion": norm(l3v - v * l3),
+        "L3_dispersion": dispersion(l3v, l3),
     }
 
 
@@ -91,17 +97,12 @@ def test_frame_moments_match_operator_path_on_j3_w_eigenstates():
 
 
 def test_frame_moments_match_operator_path_on_sam_wavepacket():
-    # the largest kappa of sam_convergence, read there off two frame rows
+    # the largest kappa of sam_convergence
     grid = build_grid(GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=512, n_phi=16))
     spec = ModeSpec(kind="sam_wavepacket", w=1, kappa=400.0, s_direction=(0.0, 0.0, 1.0),
                     radial_profile={"k0": 1.0, "sigma_k": 0.1})
     v = build_mode(spec, grid)
-    want = _oracle(v)
-    _assert_matches(_kernel(FrameMoments(v)), want, "sam_wavepacket")
-    two = FrameMoments(v, rows=2)
-    _assert_matches({"sam": two.sam, "helicity": two.helicity},
-                    {"sam": want["sam"], "helicity": want["helicity"]},
-                    "sam_wavepacket, rows=2")
+    _assert_matches(_kernel(FrameMoments(v)), _oracle(v), "sam_wavepacket")
 
 
 def _counted(calls, name, fn):
@@ -113,25 +114,31 @@ def _counted(calls, name, fn):
 
 @pytest.mark.parametrize("program", ["paraxial_suite", "sam_convergence", "never_eigenstate"])
 def test_frame_programs_apply_no_operator(program, monkeypatch):
-    calls = dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_khat_cross",
-                           "ifft", "frame_components", "build_mode"], 0)
+    calls = dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_multiply",
+                           "ifft", "values", "_frame_rows", "build_mode"], 0)
     for name in ("apply_W", "apply_S", "apply_J3_azimuthal"):
         wrapped = _counted(calls, name, getattr(operators, name))
         monkeypatch.setattr(operators, name, wrapped)
         monkeypatch.setattr(verify, name, wrapped)
-    monkeypatch.setattr(operators, "_khat_cross",
-                        _counted(calls, "_khat_cross", operators._khat_cross))
+    monkeypatch.setattr(operators, "_multiply",
+                        _counted(calls, "_multiply", operators._multiply))
     monkeypatch.setattr(np.fft, "ifft", _counted(calls, "ifft", np.fft.ifft))
-    monkeypatch.setattr(WaveFunction, "frame_components",
-                        _counted(calls, "frame_components", WaveFunction.frame_components))
+    monkeypatch.setattr(WaveFunction, "values",
+                        property(_counted(calls, "values", WaveFunction.values.fget)))
+    monkeypatch.setattr(wavefunction, "_frame_rows",
+                        _counted(calls, "_frame_rows", wavefunction._frame_rows))
     monkeypatch.setattr(verify, "build_mode", _counted(calls, "build_mode", verify.build_mode))
 
     rows = getattr(verify, program)()
     assert all(row["pass"] for row in rows)
     assert calls["build_mode"] > 0
-    assert calls["frame_components"] == calls["build_mode"]
-    assert {k: v for k, v in calls.items() if k not in ("frame_components", "build_mode")} \
-        == dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_khat_cross", "ifft"], 0)
+    # the vector LG modes of paraxial_suite are converted once, from their
+    # Cartesian closed form; the helicity eigenstates are born in the frame
+    cartesian_born = calls["build_mode"] if program == "paraxial_suite" else 0
+    assert calls["_frame_rows"] == cartesian_born
+    assert {k: v for k, v in calls.items() if k not in ("_frame_rows", "build_mode")} \
+        == dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_multiply", "ifft",
+                          "values"], 0)
 
 
 def _poison_build(monkeypatch, which):
@@ -190,3 +197,12 @@ def test_nan_com_drift_fails_time_invariance(monkeypatch):
                         lambda a, b, scale: {"P0": 0.0, "J3": math.nan if "t" in a else 0.0})
     rows = verify.com_crosscheck_suite()
     assert _failing(rows) == {"time_invariance[stub]"}
+
+
+def test_verify_rows_and_cli_gates_share_one_pass_rule():
+    # a residual exactly at its tolerance passes, and NaN fails, in both
+    assert verify._row("at", 1e-8, 1e-8)["pass"]
+    assert not verify._row("nan", math.nan, 1e-8)["pass"]
+    cli._gate({"key": 1e-8}, "key", "at", 1e-8)
+    with pytest.raises(cli.NumericalError):
+        cli._gate({"key": 1e-8}, "key", "nan", math.nan)

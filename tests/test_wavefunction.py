@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import cartesian_inner, khat_dot
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.polarization import helicity_basis
 from photon_angmom.wavefunction import (
@@ -53,13 +54,16 @@ def test_inner_product_conjugate_symmetry(grid):
 
 
 def test_inner_product_matches_helicity_sum(grid):
-    # with orthonormal local bases, <u,v> = int (conj(up) vp + conj(um) vm)
+    # the frame is unitary, so the sum over the rows c equals the Cartesian
+    # int conj(u) . v, here on states with longitudinal rows
     u = random_state(grid, seed=3)
+    u = u + WaveFunction(grid, grid.khat * u.values[:, 1:2], check=False)
     v = random_state(grid, seed=4)
-    up, um = u.frame_components(rows=2).reshape(2, -1)
-    vp, vm = v.frame_components(rows=2).reshape(2, -1)
-    ref = np.sum(grid.weights * (np.conj(up) * vp + np.conj(um) * vm))
-    np.testing.assert_allclose(inner_product(u, v), ref, atol=1e-14)
+    v = v + WaveFunction(grid, grid.khat * v.values[:, :1], check=False)
+    ref = cartesian_inner(grid, u.values, v.values)
+    np.testing.assert_allclose(inner_product(u, v), ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(norm(u) ** 2, cartesian_inner(grid, u.values, u.values).real,
+                               rtol=1e-14)
 
 
 def test_projection_recovers_transverse_part(grid):
@@ -73,10 +77,23 @@ def test_projection_recovers_transverse_part(grid):
 
 def test_helicity_components_roundtrip(grid):
     v = random_state(grid, seed=8)
-    cp, cm = v.frame_components(rows=2).reshape(2, -1)
+    cp, cm, c0 = v.c.reshape(3, -1)
+    assert not c0.any()
     ep, em = helicity_basis(grid.khat)
     rebuilt = cp[:, None] * ep + cm[:, None] * em
     np.testing.assert_allclose(rebuilt, v.values, atol=1e-14)
+    # and back through the one forward conversion
+    np.testing.assert_allclose(WaveFunction(grid, v.values).c, v.c, rtol=0, atol=1e-14)
+
+
+def test_transverse_residual_matches_cartesian_oracle(grid):
+    # max |khat . v| over the largest node amplitude max ||v(n)||
+    v = random_state(grid, seed=12)
+    polluted = v + WaveFunction(grid, 1e-3 * grid.khat * v.values[:, 2:], check=False)
+    want = np.abs(khat_dot(polluted)).max() / np.linalg.norm(polluted.values, axis=1).max()
+    np.testing.assert_allclose(transverse_residual(polluted), want, rtol=1e-13)
+    assert np.abs(khat_dot(v)).max() <= 1e-15 * np.abs(v.values).max()
+    assert transverse_residual(v) == 0.0
 
 
 def test_arithmetic(grid):
