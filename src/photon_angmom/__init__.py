@@ -43,7 +43,6 @@ from .wavefunction import (
     inner_product,
     norm,
     normalize,
-    project_transverse,
     random_state,
     transverse_residual,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "inner_product",
     "norm",
     "normalize",
-    "project_transverse",
     "random_state",
     "transverse_residual",
     "VshExpansion",

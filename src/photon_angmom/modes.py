@@ -4,10 +4,8 @@ concentrated about a direction, and paraxial vector Laguerre-Gauss modes.
 All builders sample closed-form amplitudes on a WaveVectorGrid and return
 normalized states; nothing here differentiates or iterates.  A state
 holds its rows (c_+, c_-, c_0) in the grid's local frame (eps_+, eps_-,
-khat) (`WaveFunction.c`).  The helicity eigenstates are one frame row
-and are written as that row directly; the vector LG mode and the
-projected carrier are closed forms in Cartesian components and are
-converted once, by the `WaveFunction` constructor.
+khat) (`WaveFunction.c`), and every builder writes those rows directly:
+no Cartesian sample is formed or converted.
 
 J3-W eigenstates:   v(k) = a(k, theta) e^{i (m - w) phi} eps^(w)(khat)
 with a = radial Gaussian times a theta profile, that is the one row
@@ -21,7 +19,9 @@ polarization is eps^(+)(s); by default it is projected onto the local
 helicity-w line at each node (the packet is then an exact helicity
 eigenstate and <S> -> s with error O(1/kappa)); `carrier="projected"`
 keeps the literal transverse projection of eps^(+)(s) instead, which mixes
-a O(1/kappa^2) opposite-helicity tail into W.
+a O(1/kappa^2) opposite-helicity tail into W.  The carrier's rows are its
+components conj(eps_+/-) . eps^(+)(s), so the projection is the pair of
+rows c_+/- with c_0 = 0.
 
 Vector LG modes: the paraxial spinors
 
@@ -34,18 +34,28 @@ rho = k sin(theta), so without the cutoff an equally weighted backward
 image with reversed helicity would appear; at w0 k_fixed >= 20 the profile
 at the equator is below e^{-100} and the restriction changes nothing
 numerically).  Exact J3 eigenstates with eigenvalue m; W and transversality
-residuals vanish quadratically in 1/(w0 k_fixed).
+residuals vanish quadratically in 1/(w0 k_fixed).  With
+a = phi_{m-w, p} times the carrier and the forward cut, over sqrt 2, the
+spinors' frame rows are
+
+    c_w    = a (1 + cos theta + theta sin theta) / sqrt 2
+    c_{-w} = -i w e^{2 i w phi} a (cos theta - 1 + theta sin theta) / sqrt 2
+    c_0    = i^{(1 - w)/2} e^{i w phi} a (sin theta - theta cos theta)
+
+and the builder writes these rows, each as a factor on the (k, theta)
+nodes times the phase of its azimuthal order: m - w on c_w, m + w on
+c_{-w} and m on c_0.
 
 Both closed-form families are products of a radial factor, a polar factor
-and e^{i n phi}.  Each factor is evaluated once per node of its own axis,
-on grid.k_nodes, grid.theta_nodes and grid.phi_nodes shaped (n_k, 1, 1),
-(1, n_theta, 1) and (1, 1, n_phi), and broadcasting forms the full
-(n_k, n_theta, n_phi) products in the same association order as a
-node-by-node evaluation, so the samples are bit-identical to it.  The
-scalar LG closed form, for one, runs on n_k * n_theta nodes, not on
-n_k * n_theta * n_phi.  The carrier of a spin wave packet is read in
-the grid's frame (`grid.frame`), evaluated once per angular node and
-broadcast over k.
+and e^{i n phi} in each frame row.  Each factor is evaluated once per
+node of its own axis, on grid.k_nodes, grid.theta_nodes and
+grid.phi_nodes shaped (n_k, 1, 1), (1, n_theta, 1) and (1, 1, n_phi),
+and broadcasting forms the full (n_k, n_theta, n_phi) products in the
+same association order as a node-by-node evaluation, so the rows are
+bit-identical to it.  The scalar LG closed form, for one, runs on
+n_k * n_theta nodes, not on n_k * n_theta * n_phi.  The carrier of a
+spin wave packet is read in the grid's frame (`grid.frame`), evaluated
+once per angular node and broadcast over k.
 
 Each builder carries a finite set of azimuthal orders and refuses a grid
 whose n_phi cannot resolve them, since an FFT over n_phi nodes would fold
@@ -68,7 +78,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from .config import Profile, Spec, Vec3, coerce_fields, string
 from .grid import WaveVectorGrid
 from .polarization import eps_plus
-from .wavefunction import WaveFunction, normalize, project_transverse
+from .wavefunction import WaveFunction, normalize
 
 __all__ = [
     "ModeSpec",
@@ -129,8 +139,9 @@ class ModeSpec(Spec):
 
     j3_w_eigenstate: m, w, radial_profile {k0, sigma_k},
         theta_profile {kind: gaussian_in_theta, theta0, sigma_theta}
-        or {kind: uniform_band, x_lo, x_hi}.
-    sam_wavepacket: w, s_direction, kappa, radial_profile,
+        or {kind: uniform_band, x_lo, x_hi} with -1 <= x_lo < x_hi <= 1.
+    sam_wavepacket: w, s_direction (nonzero and off -z, where the
+        carrier eps^(+)(s) is singular), kappa, radial_profile,
         carrier in {helicity, projected}.
     vector_lg: m, w, p, w0, k_fixed, radial_profile.sigma_k
         (0.1 from the default radial_profile; k_fixed / 50 when a
@@ -169,9 +180,10 @@ class ModeSpec(Spec):
         if self.kind == "sam_wavepacket":
             if self.kappa <= 0.0:
                 raise ValueError("'kappa' must be positive")
-            s = np.asarray(self.s_direction, dtype=float)
-            if np.linalg.norm(s) == 0.0:
-                raise ValueError("'s_direction' must be a nonzero vector")
+            try:  # the carrier eps^(+)(s) needs s nonzero and off -z
+                eps_plus(self.s_direction)
+            except ValueError as err:
+                raise ValueError(f"'s_direction' {list(self.s_direction)}: {err}") from None
             if self.carrier not in ("helicity", "projected"):
                 raise ValueError("'carrier' must be 'helicity' or 'projected'")
         if self.kind in ("j3_w_eigenstate", "sam_wavepacket"):
@@ -183,6 +195,14 @@ class ModeSpec(Spec):
             kind = self.theta_profile.get("kind")
             if kind not in ("gaussian_in_theta", "uniform_band"):
                 raise ValueError(f"unknown theta profile kind {kind!r}")
+            if kind == "uniform_band":
+                x_lo = self.theta_profile.get("x_lo", -1.0)
+                x_hi = self.theta_profile.get("x_hi", 1.0)
+                if not (-1.0 <= x_lo < x_hi <= 1.0):
+                    raise ValueError(
+                        "'theta_profile' uniform band requires -1 <= x_lo < x_hi <= 1, "
+                        f"got x_lo = {x_lo!r}, x_hi = {x_hi!r}"
+                    )
         if self.kind == "vector_lg":
             if self.w0 <= 0.0 or self.k_fixed <= 0.0:
                 raise ValueError("vector_lg requires positive 'w0' and 'k_fixed'")
@@ -236,20 +256,15 @@ def _radial_gaussian(k, k0, sigma_k):
 
 
 def _theta_amplitude(spec: ModeSpec, theta):
+    """The polar profile of a j3_w_eigenstate; its ModeSpec checked the
+    profile kind and the band."""
     prof = spec.theta_profile
-    kind = prof.get("kind")
-    if kind == "gaussian_in_theta":
+    if prof["kind"] == "gaussian_in_theta":
         theta0 = prof.get("theta0", 0.0)
         sigma = prof.get("sigma_theta", 0.3)
         return np.exp(-((theta - theta0) ** 2) / (4.0 * sigma**2))
-    if kind == "uniform_band":
-        x_lo = prof.get("x_lo", -1.0)
-        x_hi = prof.get("x_hi", 1.0)
-        if not (-1.0 <= x_lo < x_hi <= 1.0):
-            raise ValueError("uniform band requires -1 <= x_lo < x_hi <= 1")
-        x = np.cos(theta)
-        return ((x >= x_lo) & (x <= x_hi)).astype(float)
-    raise ValueError(f"unknown theta profile kind {kind!r}")
+    x = np.cos(theta)
+    return ((x >= prof.get("x_lo", -1.0)) & (x <= prof.get("x_hi", 1.0))).astype(float)
 
 
 def _factor_axes(grid: WaveVectorGrid):
@@ -277,10 +292,12 @@ def _check_azimuthal_orders(grid: WaveVectorGrid, *orders: int) -> None:
         )
 
 
-def _helicity_state(grid: WaveVectorGrid, w: int, row) -> WaveFunction:
-    """The normalized state whose one nonzero frame row is c_w = row."""
+def _helicity_state(grid: WaveVectorGrid, w: int, *rows) -> WaveFunction:
+    """The normalized state with frame rows (c_w, c_{-w}, c_0) = rows; the
+    rows not given are zero."""
     c = np.zeros((3,) + grid.shape, dtype=complex)
-    c[0 if w == 1 else 1] = row
+    for a, row in zip((0, 1, 2) if w == 1 else (1, 0, 2), rows):
+        c[a] = row
     return normalize(WaveFunction.from_frame(grid, c))
 
 
@@ -370,18 +387,17 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
         raise ValueError("spec.kind must be 'sam_wavepacket'")
     s = np.asarray(spec.s_direction, dtype=float)
     s = s / np.linalg.norm(s)
-    carrier_vec = eps_plus(s)  # raises at the excluded theta = pi
-    n = spec.w * s
-    kernel = np.exp(spec.kappa * (grid.khat @ n - 1.0))
+    kernel = np.exp(spec.kappa * (grid.khat @ (spec.w * s) - 1.0))
     g = _radial_gaussian(
         grid.k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"]
     )
+    packet = grid.node_fields(g * kernel)
+    # the carrier's components conj(eps_h) . eps^(+)(s) along eps_+ and eps_-
+    amp = np.einsum("htpc,c->htp", np.conj(grid.frame[:2]), eps_plus(s))
+    same, opposite = amp if spec.w == 1 else amp[::-1]
     if spec.carrier == "helicity":
-        # the carrier's component along eps^(w), conj(eps^(w)) . eps^(+)(s)
-        amp = np.einsum("tpc,c->tp", np.conj(grid.frame[0 if spec.w == 1 else 1]),
-                        carrier_vec)
-        return _helicity_state(grid, spec.w, grid.node_fields(g * kernel) * amp)
-    return normalize(project_transverse(grid, (g * kernel)[:, None] * carrier_vec))
+        return _helicity_state(grid, spec.w, packet * same)
+    return _helicity_state(grid, spec.w, packet * same, packet * opposite)
 
 
 def scalar_lg(m: int, p: int, w0: float, rho, phi):
@@ -415,27 +431,20 @@ def build_vector_lg(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
             stacklevel=2,
         )
     m, w = spec.m, spec.w
-    # x, y carry the scalar order m - w; z carries (m - w) + w = m; the
-    # opposite-helicity part, frame row c_{-w}, carries m + w
     _check_azimuthal_orders(grid, m - w, m, m + w)
     k, theta, phi = _factor_axes(grid)
-    rho = k * np.sin(theta)
-    profile = scalar_lg(m - w, spec.p, spec.w0, rho, phi)
+    cos, sin = np.cos(theta), np.sin(theta)
     sigma_k = spec.radial_profile.get("sigma_k", spec.k_fixed / 50.0)
-    carrier = _radial_gaussian(k, spec.k_fixed, sigma_k)
-    forward = (theta <= 0.5 * np.pi).astype(float)
-    amp = profile * carrier * forward / np.sqrt(2.0)
-
-    vals = np.empty(grid.shape + (3,), dtype=complex)
-    if w == 1:
-        vals[..., 0] = amp
-        vals[..., 1] = 1j * amp
-        vals[..., 2] = -theta * np.exp(1j * phi) * amp
-    else:
-        vals[..., 0] = 1j * amp
-        vals[..., 1] = amp
-        vals[..., 2] = -1j * theta * np.exp(-1j * phi) * amp
-    return normalize(WaveFunction(grid, vals.reshape(-1, 3), check=False))
+    # a without its phase e^{i (m - w) phi}, on the (k, theta) nodes
+    a = (scalar_lg(m - w, spec.p, spec.w0, k * sin, 0.0)
+         * _radial_gaussian(k, spec.k_fixed, sigma_k)
+         * (theta <= 0.5 * np.pi) / np.sqrt(2.0))
+    return _helicity_state(
+        grid, w,
+        a * ((1.0 + cos + theta * sin) / np.sqrt(2.0)) * np.exp(1j * (m - w) * phi),
+        a * (-1j * w * (cos - 1.0 + theta * sin) / np.sqrt(2.0)) * np.exp(1j * (m + w) * phi),
+        a * (1j ** ((1 - w) // 2) * (sin - theta * cos)) * np.exp(1j * m * phi),
+    )
 
 
 def build_mode(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:

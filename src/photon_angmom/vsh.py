@@ -216,11 +216,6 @@ class VshExpansion:
         dens = np.sum(np.abs(self.coeffs) ** 2, axis=(0, 2, 3))
         return float(np.sum(self.grid.radial_weights * dens))
 
-    def copy(self):
-        return VshExpansion(
-            self.grid, self.l_max, self.m_min, self.m_max, self.coeffs.copy()
-        )
-
     def _window_like(self, m_min, m_max):
         """Same coefficients embedded in a wider window."""
         if m_min > self.m_min or m_max < self.m_max:

@@ -8,17 +8,17 @@ khat) (`grid.frame`),
 
 one read-only complex array of shape (3, n_k, n_theta, n_phi), phi last.
 Physical states are transverse, c_0 = 0; the row is kept so that the
-approximately transverse vector LG and projected-carrier states lose
-nothing.  Because the frame is unitary, the inner product
-<u, v> = int d^3k conj(u) . v is the weighted sum of conj(u_a) v_a over
-rows and nodes, and every quantum expectation in the package reduces to
-it.
+approximately transverse vector LG mode loses nothing.  Because the
+frame is unitary, the inner product <u, v> = int d^3k conj(u) . v is the
+weighted sum of conj(u_a) v_a over rows and nodes, and every quantum
+expectation in the package reduces to it.
 
-The Cartesian samples v(k) are the boundary form.  `WaveFunction(grid,
-values)` converts them once (the one forward conversion), and the
-`values` property forms them from c on every read, with no cache; in the
-package only the CSV writer and field synthesis read them.
-`WaveFunction.from_frame` builds a state from its rows directly.
+The Cartesian samples v(k) are the boundary form.  Every state the
+package builds is written as its rows (`WaveFunction.from_frame`); only
+samples from outside it pass through `WaveFunction(grid, values)`, the
+one forward conversion.  The `values` property forms v from c on every
+read, with no cache; in the package only the CSV writer and field
+synthesis read it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "inner_product",
     "norm",
     "normalize",
-    "project_transverse",
     "transverse_residual",
     "random_state",
 ]
@@ -176,15 +175,6 @@ def normalize(v: WaveFunction) -> WaveFunction:
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
     return v * (1.0 / n)
-
-
-def project_transverse(grid: WaveVectorGrid, raw) -> WaveFunction:
-    """Apply the projector (delta_jl - khat_j khat_l) to an arbitrary field.
-
-    Accepts any complex (n_nodes, 3) Cartesian samples and returns the
-    transverse wavefunction; longitudinal input maps to zero.
-    """
-    return WaveFunction(grid, raw, check=False).project_transverse()
 
 
 def transverse_residual(v: WaveFunction) -> float:

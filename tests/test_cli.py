@@ -246,6 +246,13 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
          "l_max"),
         ("mode", {"outputs": [{"kind": [1], "path": "r.json"}]}, [], "kind"),
         ("verify", {"suite": [1]}, [], "suite"),
+        ("mode", {}, ['--mode.theta_profile={"kind": "uniform_band", "x_lo": 0.9, "x_hi": 0.1}'],
+         "theta_profile"),
+        ("mode", {}, ['--mode.theta_profile={"kind": "uniform_band", "x_hi": 1.5}'],
+         "theta_profile"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=[0,0,-1]"], "s_direction"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=[1e-7,0,-2]"], "s_direction"),
+        ("mode", {"mode": SAM_MODE}, ["--mode.s_direction=[0,0,0]"], "s_direction"),
     ],
     ids=["missing", "unknown", "top-level-typo", "radial-not-object",
          "theta-not-object", "fractional-m", "bool-n_k", "string-n_phi",
@@ -258,7 +265,8 @@ def test_override_must_be_key_equals_value(tmp_path, capsys):
          "bool-kappa", "string-w0", "scalar-s_direction", "scalar-times",
          "short-s_direction", "null-k_max", "grid-unknown", "lattice-unknown",
          "bool-tolerance", "fractional-seed", "int-kind", "report-l_max",
-         "fields-l_max", "list-output-kind", "list-suite"],
+         "fields-l_max", "list-output-kind", "list-suite", "inverted-band",
+         "band-past-pole", "sam-south-pole", "sam-near-south-pole", "zero-s_direction"],
 )
 def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
                                               overrides, key):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
+from photon_angmom import wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import (
+    _KIND_KEYS,
     ModeSpec,
     build_j3_w_eigenstate,
     build_mode,
@@ -29,6 +31,13 @@ from photon_angmom.wavefunction import (
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(GridSpec(n_k=12, k_min=0.4, k_max=1.8, n_theta=48, n_phi=14))
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _helicity_rows(amp, w):
@@ -90,8 +99,10 @@ def test_mode_spec_dict_holds_only_read_fields(lg_grid):
     assert ModeSpec(kind="vector_lg").to_dict()["radial_profile"] == {"sigma_k": 0.1}
 
 
-def _lg_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
-    """Vector LG samples evaluated node by node from the closed form."""
+def _lg_amplitude_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
+    """a = scalar_lg(m - w, p, w0, k sin(theta), 0) carrier forward / sqrt 2,
+    the vector LG amplitude without its phase e^{i (m - w) phi}, evaluated
+    node by node, with the nodes k, theta, phi it was evaluated on."""
     k, theta, phi = grid.k, grid.theta, grid.phi
     am = abs(m - w)
     rho = k * np.sin(theta)
@@ -100,14 +111,38 @@ def _lg_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
         0.5 * (gammaln(p + 1.0) - gammaln(p + am + 1.0))
     )
     radial = (w0 * rho / np.sqrt(2.0)) ** am * eval_genlaguerre(p, am, u) * np.exp(-0.5 * u)
-    profile = norm_factor * (1j**am) * radial * np.exp(1j * (m - w) * phi)
     carrier = np.exp(-((k - k_fixed) ** 2) / (4.0 * sigma_k**2))
-    amp = profile * carrier * (theta <= 0.5 * np.pi).astype(float) / np.sqrt(2.0)
+    a = norm_factor * (1j**am) * radial * carrier * (theta <= 0.5 * np.pi) / np.sqrt(2.0)
+    return a, k, theta, phi
+
+
+def _lg_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
+    """Vector LG from its Cartesian paraxial spinor, node by node, converted
+    to frame rows by the `WaveFunction` constructor."""
+    a, k, theta, phi = _lg_amplitude_nodewise(grid, m, w, p, w0, k_fixed, sigma_k)
+    amp = a * np.exp(1j * (m - w) * phi)
     if w == 1:
         cols = (amp, 1j * amp, -theta * np.exp(1j * phi) * amp)
     else:
         cols = (1j * amp, amp, -1j * theta * np.exp(-1j * phi) * amp)
     return normalize(WaveFunction(grid, np.stack(cols, axis=1), check=False))
+
+
+def _lg_frame_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
+    """Vector LG from its frame closed form, node by node, each row a polar
+    factor times the phase of its own azimuthal order:
+      c_w  = a (1 + cos + theta sin) / sqrt 2 e^{i (m - w) phi}
+      c_-w = a (-i w (cos - 1 + theta sin) / sqrt 2) e^{i (m + w) phi}
+      c_0  = a (i^{(1 - w)/2} (sin - theta cos)) e^{i m phi}"""
+    a, k, theta, phi = _lg_amplitude_nodewise(grid, m, w, p, w0, k_fixed, sigma_k)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rows = np.empty((3, grid.n_nodes), dtype=complex)
+    rows[0 if w == 1 else 1] = (a * ((1.0 + cos + theta * sin) / np.sqrt(2.0))
+                                * np.exp(1j * (m - w) * phi))
+    rows[1 if w == 1 else 0] = (a * (-1j * w * (cos - 1.0 + theta * sin) / np.sqrt(2.0))
+                                * np.exp(1j * (m + w) * phi))
+    rows[2] = a * (1j ** ((1 - w) // 2) * (sin - theta * cos)) * np.exp(1j * m * phi)
+    return normalize(WaveFunction.from_frame(grid, rows))
 
 
 @pytest.mark.parametrize("gs", [
@@ -122,8 +157,8 @@ def test_vector_lg_factor_axes_match_nodewise_closed_form(gs):
                                      (0, 1, 2, 45.0, 0.05), (3, -1, 0, 10.0, 0.03)]:
             spec = ModeSpec(kind="vector_lg", m=m, w=w, p=p, w0=w0, k_fixed=1.0,
                             radial_profile={"sigma_k": sigma_k})
-            want = _lg_nodewise(grid, m, w, p, w0, 1.0, sigma_k)
-            assert np.array_equal(build_vector_lg(spec, grid).values, want.values)
+            want = _lg_frame_nodewise(grid, m, w, p, w0, 1.0, sigma_k)
+            assert np.array_equal(build_vector_lg(spec, grid).c, want.c)
 
 
 @pytest.mark.parametrize("theta_profile", [
@@ -355,6 +390,43 @@ def test_sam_packet_projected_carrier(packet_grid):
     assert abs(rep.helicity - 1.0) < 2e-4  # O(1/kappa^2) deficit
 
 
+@pytest.mark.parametrize("w", [1, -1])
+@pytest.mark.parametrize("s_direction", [(0.0, 0.0, 1.0), (0.3, 0.2, 1.0), (1.0, -0.4, 0.0),
+                                         (0.2, -0.5, -0.7)])
+def test_sam_projected_carrier_matches_cartesian_projection(grid, w, s_direction):
+    # the carrier's two frame rows against the Cartesian field
+    # g kernel eps^(+)(s), converted and projected transverse
+    spec = ModeSpec(kind="sam_wavepacket", w=w, s_direction=s_direction, kappa=8.0,
+                    carrier="projected", radial_profile={"k0": 1.0, "sigma_k": 0.2})
+    s = np.asarray(s_direction) / np.linalg.norm(s_direction)
+    kernel = np.exp(8.0 * (grid.khat @ (w * s) - 1.0))
+    g = np.exp(-((grid.k - 1.0) ** 2) / (4.0 * 0.2**2))
+    raw = (g * kernel)[:, None] * eps_plus(s)
+    want = normalize(WaveFunction(grid, raw, check=False).project_transverse()).c
+    got = build_sam_wavepacket(spec, grid).c
+    assert not got[2].any()
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= 1e-14, err
+
+
+@pytest.mark.parametrize("kind, carrier", [
+    (kind, carrier) for kind in _KIND_KEYS
+    for carrier in (("helicity", "projected") if "carrier" in _KIND_KEYS[kind] else ("helicity",))
+])
+def test_builders_write_frame_rows(lg_grid, monkeypatch, kind, carrier):
+    # every builder writes its frame rows: no forward conversion of
+    # Cartesian samples, and no Cartesian samples formed
+    calls = {"_frame_rows": 0, "values": 0}
+    monkeypatch.setattr(wavefunction, "_frame_rows",
+                        _counted(calls, "_frame_rows", wavefunction._frame_rows))
+    monkeypatch.setattr(WaveFunction, "values",
+                        property(_counted(calls, "values", WaveFunction.values.fget)))
+    spec = ModeSpec(kind=kind, m=1, s_direction=(0.3, 0.2, 1.0), carrier=carrier)
+    v = build_mode(spec, lg_grid)
+    assert abs(norm(v) - 1.0) < 1e-12
+    assert calls == {"_frame_rows": 0, "values": 0}
+
+
 def test_sam_packet_negative_w_support(packet_grid):
     v = build_sam_wavepacket(_packet_spec(50.0, w=-1), packet_grid)
     dens = np.einsum("nc,nc->n", np.conj(v.values), v.values).real
@@ -428,29 +500,16 @@ def paraxial_grid():
 
 
 def test_vector_lg_frame_rows_match_closed_form(paraxial_grid):
-    # with a = scalar_lg(m - w, p, w0, k sin(theta), phi) carrier forward / sqrt 2:
-    #   c_w  = a (1 + cos + theta sin) / sqrt 2
-    #   c_-w = -i w e^{2 i w phi} a (cos - 1 + theta sin) / sqrt 2
-    #   c_0  = i^{(1 - w)/2} e^{i w phi} a (sin - theta cos)
-    # so the one Cartesian-to-frame conversion is pinned, up to the norm
+    # the rows the builder writes against its Cartesian paraxial spinor,
+    # converted by the forward conversion
     grid = paraxial_grid
-    k, theta, phi = (grid.node_fields(x) for x in (grid.k, grid.theta, grid.phi))
-    cos, sin = np.cos(theta), np.sin(theta)
     for m in (-2, 0, 1, 3):
         for p in (0, 2):
             for w in (1, -1):
                 spec = ModeSpec(kind="vector_lg", m=m, p=p, w=w, w0=20.0, k_fixed=1.0,
                                 radial_profile={"sigma_k": 0.02})
-                a = (scalar_lg(m - w, p, 20.0, k * sin, phi)
-                     * np.exp(-((k - 1.0) ** 2) / (4.0 * 0.02**2))
-                     * (theta <= 0.5 * np.pi) / np.sqrt(2.0))
-                rows = np.empty((3,) + grid.shape, dtype=complex)
-                rows[0 if w == 1 else 1] = a * (1.0 + cos + theta * sin) / np.sqrt(2.0)
-                rows[1 if w == 1 else 0] = (-1j * w * np.exp(2j * w * phi) * a
-                                            * (cos - 1.0 + theta * sin) / np.sqrt(2.0))
-                rows[2] = 1j ** ((1 - w) // 2) * np.exp(1j * w * phi) * a * (sin - theta * cos)
                 got = build_vector_lg(spec, grid).c
-                want = normalize(WaveFunction.from_frame(grid, rows)).c
+                want = _lg_nodewise(grid, m, w, p, 20.0, 1.0, 0.02).c
                 err = np.abs(got - want).max() / np.abs(want).max()
                 assert err <= 1e-14, (m, p, w, err)
 

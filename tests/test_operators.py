@@ -25,7 +25,6 @@ from photon_angmom.wavefunction import (
     inner_product,
     norm,
     normalize,
-    project_transverse,
     random_state,
     transverse_residual,
 )
@@ -428,7 +427,7 @@ def test_frame_born_state_forms_no_cartesian_samples(grid, monkeypatch):
         transverse_residual(u)
     assert calls == {"_frame_rows": 0, "values": 0}
     # the Cartesian boundary: one conversion in, one formation out
-    project_transverse(grid, v.values)
+    WaveFunction(grid, v.values).project_transverse()
     assert calls == {"_frame_rows": 1, "values": 1}
 
 
