@@ -49,7 +49,7 @@ import numpy as np
 from . import __version__
 from .config import finite_real, strict_int, string
 from .grid import GridSpec, build_grid
-from .modes import ModeSpec, build_mode
+from .modes import EmptyProfileError, ModeSpec, build_mode
 from .operators import azimuthal_support, observable_report
 from .synthesis import (
     SpaceTimeLattice,
@@ -311,6 +311,8 @@ def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: di
         raise NumericalError(f"grid construction failed for {grid_spec}: {err}") from None
     try:
         v = build_mode(mode_spec, grid)
+    except EmptyProfileError as err:
+        raise ConfigError(str(err)) from None
     except (ValueError, FloatingPointError) as err:
         raise NumericalError(f"mode construction failed: {err}") from None
     n_phi = grid_spec.n_phi

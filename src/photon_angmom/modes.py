@@ -53,9 +53,10 @@ grid.phi_nodes shaped (n_k, 1, 1), (1, n_theta, 1) and (1, 1, n_phi),
 and broadcasting forms the full (n_k, n_theta, n_phi) products in the
 same association order as a node-by-node evaluation, so the rows are
 bit-identical to it.  The scalar LG closed form, for one, runs on
-n_k * n_theta nodes, not on n_k * n_theta * n_phi.  The carrier of a
-spin wave packet is read in the grid's frame (`grid.frame`), evaluated
-once per angular node and broadcast over k.
+n_k * n_theta nodes, not on n_k * n_theta * n_phi.  The kernel and the
+carrier of a spin wave packet depend on the direction only: both are
+evaluated once per angular node (the carrier in the grid's frame,
+`grid.frame`) and broadcast against the radial Gaussian on grid.k_nodes.
 
 Each builder carries a finite set of azimuthal orders and refuses a grid
 whose n_phi cannot resolve them, since an FFT over n_phi nodes would fold
@@ -81,6 +82,7 @@ from .polarization import eps_plus
 from .wavefunction import WaveFunction, normalize
 
 __all__ = [
+    "EmptyProfileError",
     "ModeSpec",
     "ThetaDistribution",
     "build_mode",
@@ -250,6 +252,11 @@ class ModeSpec(Spec):
         return super().from_dict(d)
 
 
+class EmptyProfileError(ValueError):
+    """A mode profile that holds no node of the grid it is built on: the
+    mode and grid configuration do not fit together."""
+
+
 def _radial_gaussian(k, k0, sigma_k):
     # amplitude profile; |g|^2 is a Gaussian density of std sigma_k
     return np.exp(-((k - k0) ** 2) / (4.0 * sigma_k**2))
@@ -309,9 +316,15 @@ def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     # e^{i (m - w) phi} eps^(w) carries the Cartesian orders m - 1, m, m + 1
     _check_azimuthal_orders(grid, m - w, m + w)
     k, theta, phi = _factor_axes(grid)
+    h = _theta_amplitude(spec, theta)
+    if not h.any():
+        raise EmptyProfileError(
+            f"'theta_profile' {spec.theta_profile} vanishes on every polar node "
+            f"of the grid (n_theta = {grid.spec.n_theta}); widen it or raise 'n_theta'"
+        )
     amp = (
         _radial_gaussian(k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])
-        * _theta_amplitude(spec, theta)
+        * h
         * np.exp(1j * (m - w) * phi)
     )
     return _helicity_state(grid, w, amp)
@@ -387,11 +400,14 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
         raise ValueError("spec.kind must be 'sam_wavepacket'")
     s = np.asarray(spec.s_direction, dtype=float)
     s = s / np.linalg.norm(s)
-    kernel = np.exp(spec.kappa * (grid.khat @ (spec.w * s) - 1.0))
-    g = _radial_gaussian(
-        grid.k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"]
-    )
-    packet = grid.node_fields(g * kernel)
+    # the kernel on the angular nodes (the first shell), the Gaussian on
+    # the radial ones
+    khat = grid.khat[:grid.spec.n_theta * grid.spec.n_phi]
+    kernel = np.exp(spec.kappa * (khat @ (spec.w * s) - 1.0)).reshape(grid.shape[1:])
+    k, _, _ = _factor_axes(grid)
+    packet = _radial_gaussian(
+        k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"]
+    ) * kernel
     # the carrier's components conj(eps_h) . eps^(+)(s) along eps_+ and eps_-
     amp = np.einsum("htpc,c->htp", np.conj(grid.frame[:2]), eps_plus(s))
     same, opposite = amp if spec.w == 1 else amp[::-1]

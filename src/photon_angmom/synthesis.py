@@ -13,19 +13,57 @@ rule over the lattice.
 
 Nodes come in rings: the n_phi contiguous nodes of one (k, theta) share
 omega = k and k_z, so the phase factors as e^{i (k_x x + k_y y)} times a
-per-ring e^{i (k_z z - omega t)}.  The Gauss-Legendre x-nodes are
-symmetric, so the rings at theta and pi - theta of one shell form a mirror
-pair with the same (k_x, k_y) on every phi node; only k_z changes sign.
-With odd n_theta the equator ring is its own mirror and is counted once.
-The synthesis evaluates the same sum in two stages over blocks of pairs:
+per-ring e^{i (k_z z - omega t)}.  The synthesis folds two symmetries of
+the product grid into real tables and evaluates the sum in two stages.
 
-    1. per pair, a phi-sum of A, i k_x A and i k_y A onto the (x, y) plane:
-       one left factor (1 | i k_x | i k_y) e^{i k_y y}, (3 ny, n_phi),
-       shared by both rings, against each ring's right factor
-       A_c e^{i k_x x}, (n_phi, 3 nx), in one batched matrix product;
-    2. per block, matrix products of those planes with the rings as the
-       inner dimension: against P_z = e^{i (k_z z - omega t)} for d_x A and
-       d_y A, and against [P_z, i omega P_z, i k_z P_z] for A, E and d_z A.
+Mirror pairs.  The Gauss-Legendre x-nodes are symmetric, so the rings at
+theta and pi - theta of one shell share (k_x, k_y) on every phi node and
+differ only in the sign of k_z.  With a+ and a- the amplitudes
+W v / (2 pi sqrt(omega)) of the two rings, the pair's sums
+
+    Sigma = (a+ + a-) e^{-i omega t},   Delta = i (a+ - a-) e^{-i omega t}
+
+give, with c = cos k_z z and s = sin k_z z, the real z tables
+
+    A     = Sigma c + Delta s             (also d_x A and d_y A)
+    E / i = Sigma (omega c) + Delta (omega s)
+    d_z A = Sigma (-k_z s) + Delta (k_z c)
+
+With odd n_theta the equator ring is its own mirror and enters with
+a- = 0, so it counts once.
+
+Antipodes.  With even n_phi, node j + n_phi/2 carries (-k_x, -k_y): its
+left factor L = (1 | i k_x | i k_y) e^{i k_y y} and its x phase
+e = e^{i k_x x} are the conjugates of node j's.  So with alpha and alpha'
+the amplitudes at j and at its antipode, the phi-sum of a pair plane is
+
+    sum_j L alpha e + conj(L) alpha' conj(e)
+        = sum_j Re L (alpha e + alpha' conj(e)) + Im L i (alpha e - alpha' conj(e)),
+
+a real matrix product: the float view of L on the first n_phi/2 nodes,
+(3 ny, n_phi) real, against the n_phi complex right rows
+R1 = alpha e + alpha' conj(e) and R2 = i (alpha e - alpha' conj(e)).
+With Y_q = y_q conj(e), y_0 = conj(alpha) + alpha' and
+y_1 = i (conj(alpha) - alpha'), these are R1 = Re Y_0 + i Re Y_1 and
+R2 = Im Y_0 + i Im Y_1: one complex product per block forms Y, laid out
+so that the matrix product reads R through its float view, with no copy.
+Odd n_phi runs the same code with alpha' = 0 on n_phi nodes.
+
+The stages, each a real matrix product on float views:
+
+    1. per pair, the Sigma and Delta planes of A, d_x A and d_y A on the
+       (x, y) lattice: the real left (3 ny, n_phi) against the right rows
+       (n_phi, 6 nx) of each plane;
+    2. per panel of pairs, the planes (the (pair, Sigma | Delta) rows as
+       the inner dimension) against the real z tables: [c; s] for A, d_x A
+       and d_y A, and [-k_z s; k_z c], [c; s], [omega c; omega s] for d_z A,
+       A and E / i from the undifferentiated planes.
+
+Stage 1 costs 18 nx ny real multiply-adds per node (even n_phi; 36 for
+odd), half the 9 complex ones of a complex left on every node.  Stage 2
+costs 60 nx ny nz per mirror pair, half its complex form per ring pair.
+The direct sum costs O(n_nodes nx ny nz).  This only reorders the
+plane-wave sum.
 
 The lattice axes are uniform, so the in-plane phase tables
 e^{i k (x_0 + j dx)} are built by doubling: rows [m, 2m) are rows [0, m)
@@ -33,11 +71,14 @@ times e^{i k m dx}.  Each entry is a product of at most 1 + ceil(log2 n)
 correctly rounded phases, and a pair costs 2 + ceil(log2 nx) +
 ceil(log2 ny) cos/sin per phi node instead of 2 (nx + ny).
 
-This only reorders the plane-wave sum.  Cost is O(n_nodes nx ny) for the
-first stage (9 nx ny complex multiply-adds per node, in the matrix
-products) and O(n_rings nx ny nz) for the second, against
-O(n_nodes nx ny nz) for the direct sum.  Blocks of pairs are sized from a
-fixed byte budget, so memory stays bounded by it plus the output.
+Memory: one byte budget holds a stage-2 panel of planes with its x and y
+tables, one stage-1 block and one stage-2 strip; the block's right rows
+and the strip's product are sized to stay in L2, and the panel takes the
+rest.  Every stage-1 block of a panel writes its planes into the panel,
+and stage 2 then runs per strip of output columns, so each panel adds
+into the output once.  On top of the budget come the output and arrays
+of the size of the node samples.  The snapshot's A, E and dA are views of
+one (field, z, y, component, x) output.
 
 Real-space constants of motion evaluate the volume integrals
 
@@ -152,8 +193,13 @@ class FieldSnapshot:
         )
 
 
-# Byte budget of the per-block buffers of synthesize_fields.
-_BLOCK_BYTES = 32 << 20
+# One byte budget for the private buffers of synthesize_fields: the stage-2
+# panel of planes with its phase tables, one stage-1 block and one stage-2
+# strip.  The output cube comes on top.
+_BUDGET_BYTES = 32 << 20
+# A stage-1 block's right factor and a stage-2 strip's product each stay
+# within this, so that the elementwise passes run in L2.
+_L2_BYTES = 1 << 20
 
 
 def _phase(arg: np.ndarray) -> np.ndarray:
@@ -180,10 +226,61 @@ def _axis_phases(k: np.ndarray, x0: float, dx: float, out: np.ndarray) -> None:
         m += step
 
 
-def _pair_block(n_phi: int, nx: int, ny: int) -> int:
-    """Mirror pairs per block: phase tables, factors and planes within _BLOCK_BYTES."""
-    per_pair = 16 * (n_phi * (7 * nx + 3 * ny) + 18 * nx * ny)
-    return max(1, _BLOCK_BYTES // per_pair)
+def _synthesis_blocks(n_pairs: int, n_h: int, shape) -> tuple[int, int, int]:
+    """(block, panel, strip) of synthesize_fields.
+
+    Mirror pairs per stage-1 block, so that its right factor fits in
+    _L2_BYTES; output columns per stage-2 strip, likewise; and mirror pairs
+    per stage-2 panel, so that the planes and phase tables of a panel take
+    the rest of _BUDGET_BYTES.  The panels are balanced: the last one is
+    not a small remainder.
+    """
+    nx, ny, nz = shape
+    block = max(1, _L2_BYTES // (192 * nx * n_h))
+    strip = max(1, _L2_BYTES // (24 * nz))
+    per_pair = 288 * nx * ny + 16 * n_h * (nx + 3 * ny)
+    panel = max(block, (_BUDGET_BYTES - 2 * _L2_BYTES) // per_pair)
+    panel = -(-n_pairs // -(-n_pairs // panel))
+    return min(block, panel), panel, strip
+
+
+def _pair_rows(v: WaveFunction, time: float) -> np.ndarray:
+    """Stage-1 amplitude rows of every mirror pair, (pair, 2, 3, 2, n_h).
+
+    Axis 1 is (Sigma, Delta), axis 2 the Cartesian component, axis 3 the
+    two rows y_0, y_1 and axis 4 the first n_h phi nodes; see the module
+    docstring.  Odd n_phi pads the antipodes alpha' with zeros.
+    """
+    grid = v.grid
+    n_k, n_theta, n_phi = grid.shape
+    half = (n_theta + 1) // 2
+    n_h = n_phi // 2 if n_phi % 2 == 0 else n_phi
+    # W / (2 pi sqrt(omega)) e^{-i omega t} per ring: the phi rule is uniform
+    scale = grid.weights.reshape(grid.shape)[..., 0] / (2.0 * np.pi * np.sqrt(grid.k_nodes))[:, None]
+    scale = scale * np.exp(-1j * grid.k_nodes * time)[:, None]
+    mirror = scale[:, ::-1][:, :half].copy()
+    if n_theta % 2:
+        mirror[:, -1] = 0.0                                   # the equator ring counts once
+    # (shell, theta, component, phi): values is component-major in memory
+    vals = v.values.reshape(grid.shape + (3,)).transpose(0, 1, 3, 2)
+    # (a+ | a-, shell, pair, component, phi), phi zero-padded to 2 n_h
+    ring = np.empty((2, n_k, half, 3, 2 * n_h), dtype=complex)
+    ring[..., n_phi:] = 0.0
+    np.multiply(vals[:, :half], scale[:, :half, None, None], out=ring[0, ..., :n_phi])
+    np.multiply(vals[:, ::-1][:, :half], mirror[..., None, None], out=ring[1, ..., :n_phi])
+    # S = a+ + a- = Sigma and D = a+ - a- = Delta / i, then conj(X) +- X'
+    x = np.empty_like(ring)
+    np.add(ring[0], ring[1], out=x[0])
+    np.subtract(ring[0], ring[1], out=x[1])
+    xc = np.conj(x[..., :n_h])
+    rows = np.empty((n_k, half, 2, 3, 2, n_h), dtype=complex)
+    np.add(xc[0], x[0, ..., n_h:], out=rows[:, :, 0, :, 0])        # conj(S) + S'
+    np.subtract(xc[0], x[0, ..., n_h:], out=rows[:, :, 0, :, 1])   # i (conj(S) - S')
+    np.subtract(xc[1], x[1, ..., n_h:], out=rows[:, :, 1, :, 0])   # -i (conj(D) - D')
+    np.add(xc[1], x[1, ..., n_h:], out=rows[:, :, 1, :, 1])        # conj(D) + D'
+    rows[:, :, 0, :, 1] *= 1j
+    rows[:, :, 1, :, 0] *= -1j
+    return rows.reshape(-1, 2, 3, 2, n_h)
 
 
 def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
@@ -199,63 +296,65 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
             )
     nx, ny, nz = lattice.shape
     (x0, y0, _), dx, dy = lattice.origin, lattice.spacing(0), lattice.spacing(1)
-    az = lattice.axis(2)
     n_k, n_theta, n_phi = grid.shape
-    half = (n_theta + 1) // 2                                 # mirror pairs per shell
-    mirror = np.stack([np.arange(half), n_theta - 1 - np.arange(half)], axis=1)
-    kvec = grid.kvec.reshape(n_k, n_theta, n_phi, 3)
-    kx = kvec[:, :half, :, 0].reshape(-1, n_phi)              # the lower ring serves both
-    ky = kvec[:, :half, :, 1].reshape(-1, n_phi)
-    kz = kvec[:, mirror, 0, 2].reshape(-1)                    # (pair, mirror) order
-    om = np.repeat(grid.k_nodes, 2 * half)
-    amp = (grid.weights / (2.0 * np.pi * np.sqrt(grid.k)))[:, None] * v.values
-    amp = amp.reshape(n_k, n_theta, n_phi, 3)[:, mirror].transpose(0, 1, 2, 4, 3)
-    amp = amp.reshape(-1, 2, 3, n_phi)                        # (pair, mirror, comp., phi)
-    if n_theta % 2:
-        amp[half - 1::half, 1] = 0.0                          # the equator ring counts once
-    n_pairs = len(amp)
+    half = (n_theta + 1) // 2
+    rows = _pair_rows(v, time)
+    n_pairs, n_h = len(rows), rows.shape[-1]
+    kvec = grid.kvec.reshape(n_k, n_theta, n_phi, 3)[:, :half]   # the lower ring serves both
+    kx = kvec[:, :, :n_h, 0].reshape(n_pairs, n_h)
+    ky = kvec[:, :, :n_h, 1].reshape(n_pairs, n_h)
+    ikk = 1j * np.stack([kx, ky], axis=1)
+    # real z tables, rows (pair, Sigma | Delta), columns (d_z A, A, E/i) x z
+    kz = kvec[:, :, 0, 2].reshape(n_pairs, 1)
+    om = np.repeat(grid.k_nodes, half)[:, None]
+    c, s = np.cos(kz * lattice.axis(2)), np.sin(kz * lattice.axis(2))
+    tz = np.stack([-kz * s, c, om * c, kz * c, s, om * s], axis=1).reshape(2 * n_pairs, 3 * nz)
+    block, panel_pairs, strip = _synthesis_blocks(n_pairs, n_h, lattice.shape)
+    m0 = 6 * nx * ny                                           # floats of one plane
 
-    # rows (y, component, x); fa columns (A | E | d_z A, z), fk rows led by d_x | d_y
-    fa = np.zeros((ny * 3 * nx, 3 * nz), dtype=complex)
-    fk = np.zeros((2 * ny * 3 * nx, nz), dtype=complex)
-    block = min(n_pairs, _pair_block(n_phi, nx, ny))
-    # left: (1 | i k_x | i k_y) e^{i k_y y}; px: e^{i k_x x}, axis-major;
-    # right: A_c e^{i k_x x} of both rings of a pair
-    left = np.empty((block, 3, ny, n_phi), dtype=complex)
-    px = np.empty((nx, block, n_phi), dtype=complex)
-    right = np.empty((block, 2, n_phi, 3, nx), dtype=complex)
-    g = np.empty((block, 2, 3 * ny, 3 * nx), dtype=complex)
-    for lo in range(0, n_pairs, block):
-        sl = slice(lo, lo + block)
-        a = amp[sl]
-        nb = len(a)
-        # stage 1: per pair, phi-sums of A, i k_x A and i k_y A onto the (x, y) plane
-        _axis_phases(ky[sl], y0, dy, out=left[:nb, 0].transpose(1, 0, 2))
-        np.multiply((1j * kx[sl])[:, None], left[:nb, 0], out=left[:nb, 1])
-        np.multiply((1j * ky[sl])[:, None], left[:nb, 0], out=left[:nb, 2])
-        _axis_phases(kx[sl], x0, dx, out=px[:, :nb])
-        np.multiply(a.transpose(0, 1, 3, 2)[..., None],
-                    px[:, :nb].transpose(1, 2, 0)[:, None, :, None], out=right[:nb])
-        np.matmul(left[:nb].reshape(nb, 1, 3 * ny, n_phi),
-                  right[:nb].reshape(nb, 2, n_phi, 3 * nx), out=g[:nb])
-        planes = g[:nb].reshape(2 * nb, 3, -1)
-        # stage 2: rings against e^{i (k_z z - omega t)}
-        rs = slice(2 * lo, 2 * (lo + nb))
-        pz = _phase(kz[rs, None] * az - om[rs, None] * time)  # (2 nb, nz)
-        rhs = np.concatenate(
-            [pz, (1j * om[rs, None]) * pz, (1j * kz[rs, None]) * pz], axis=1)
-        fa += planes[:, 0].T @ rhs
-        fk += planes[:, 1:].reshape(2 * nb, -1).T @ pz
-
-    cube = np.empty((nx, ny, nz, 5, 3), dtype=complex)        # A, E, d_x, d_y, d_z A
-    cube[..., [0, 1, 4], :] = fa.reshape(ny, 3, nx, 3, nz).transpose(2, 0, 4, 3, 1)
-    cube[..., 2:4, :] = fk.reshape(2, ny, 3, nx, nz).transpose(3, 1, 4, 0, 2)
+    # fields d_x A, d_y A, d_z A, A, E/i, each a (z, y, component, x) plane stack
+    cube = np.empty((5, nz, ny, 3, nx), dtype=complex)
+    out = cube.view(float).reshape(5, nz, m0)
+    panel = np.empty((panel_pairs, 2, 3, m0))                  # (pair, Sigma | Delta, 1 | d_x | d_y)
+    left = np.empty((panel_pairs, 3, ny, n_h), dtype=complex)  # (1 | i k_x | i k_y) e^{i k_y y}
+    px = np.empty((nx, panel_pairs, n_h), dtype=complex)       # e^{-i k_x x}
+    right = np.empty((block, 2, 3, nx, 2, n_h), dtype=complex)
+    tmp = np.empty(3 * nz * strip)
+    for lo in range(0, n_pairs, panel_pairs):
+        n = min(panel_pairs, n_pairs - lo)
+        sl = slice(lo, lo + n)
+        _axis_phases(-kx[sl], x0, dx, out=px[:, :n])
+        _axis_phases(ky[sl], y0, dy, out=left[:n, 0].transpose(1, 0, 2))
+        np.multiply(ikk[sl, :, None], left[:n, 0, None], out=left[:n, 1:])
+        # stage 1: per pair, the real left against the right rows y_q e^{-i k_x x}
+        for b in range(0, n, block):
+            nb = min(block, n - b)
+            np.multiply(rows[lo + b:lo + b + nb, :, :, None],
+                        px[:, b:b + nb].transpose(1, 0, 2)[:, None, None, :, None],
+                        out=right[:nb])
+            np.matmul(left[b:b + nb].view(float).reshape(nb, 1, 3 * ny, 2 * n_h),
+                      right[:nb].view(float).reshape(nb, 2, 6 * nx, 2 * n_h).transpose(0, 1, 3, 2),
+                      out=panel[b:b + nb].reshape(nb, 2, 3 * ny, 6 * nx))
+        # stage 2: the (Sigma, Delta) rows of the panel against the z tables
+        table = tz[2 * lo:2 * (lo + n)]
+        planes = panel[:n].reshape(2 * n, 3, m0)
+        for c0 in range(0, m0, strip):
+            cs = slice(c0, c0 + strip)
+            for dst, t, src in (
+                (out[2:5, :, cs].reshape(3 * nz, -1), table, planes[:, 0, cs]),
+                (out[:2, :, cs], table[:, nz:2 * nz], planes[:, 1:, cs].transpose(1, 0, 2)),
+            ):
+                if lo == 0:        # the first panel writes, later ones add through tmp
+                    np.matmul(t.T, src, out=dst)
+                else:
+                    dst += np.matmul(t.T, src, out=tmp[:dst.size].reshape(dst.shape))
+    cube[4] *= 1j
     return FieldSnapshot(
         lattice=lattice,
         time=time,
-        A=cube[..., 0, :],
-        E=cube[..., 1, :],
-        dA=cube[..., 2:5, :],
+        A=cube[3].transpose(3, 1, 0, 2),
+        E=cube[4].transpose(3, 1, 0, 2),
+        dA=cube[:3].transpose(4, 2, 1, 0, 3),
     )
 
 
@@ -408,19 +507,18 @@ def export_slice(snapshot: FieldSnapshot, path: str, field: str = "E",
         iz = lat.n_z // 2
     if not (0 <= iz < lat.n_z):
         raise ValueError(f"iz = {iz} outside [0, {lat.n_z})")
-    plane = data[:, :, iz, :]
-    z = lat.axis(2)[iz]
     cols = ",".join(
         ["x", "y", "z"]
         + [f"{p}_{field}{c}" for c in (1, 2, 3) for p in ("re", "im")]
     )
+    # rows (ix, iy): x, y, z, then (re, im) of each component
+    table = np.empty((lat.n_x, lat.n_y, 9))
+    table[..., 0] = lat.axis(0)[:, None]
+    table[..., 1] = lat.axis(1)
+    table[..., 2] = lat.axis(2)[iz]
+    table[..., 3::2] = data[:, :, iz].real
+    table[..., 4::2] = data[:, :, iz].imag
+    row = ",".join(["%.17g"] * 9) + "\n"
     with open(path, "w") as fh:
         fh.write(cols + "\n")
-        for ix, x in enumerate(lat.axis(0)):
-            for iy, y in enumerate(lat.axis(1)):
-                vals = plane[ix, iy]
-                nums = []
-                for c in range(3):
-                    nums.append(f"{vals[c].real:.17g}")
-                    nums.append(f"{vals[c].imag:.17g}")
-                fh.write(f"{x:.17g},{y:.17g},{z:.17g}," + ",".join(nums) + "\n")
+        fh.writelines(row % tuple(values) for values in table.reshape(-1, 9).tolist())

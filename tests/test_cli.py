@@ -501,3 +501,17 @@ def test_threads_env_caps_blas(tmp_path):
                          env={**os.environ, "PHOTON_ANGMOM_THREADS": "2"})
     assert run.returncode == 0
     assert run.stdout.strip() == "2"
+
+
+@pytest.mark.parametrize("command", ["mode", "synth"])
+def test_empty_uniform_band_is_config_error(tmp_path, capsys, command):
+    # x in [0.9999, 1] holds none of the 20 polar nodes (the top one is at 0.9931)
+    if command == "synth":
+        cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    else:
+        cfg = write_config(tmp_path)
+    band = '--mode.theta_profile={"kind": "uniform_band", "x_lo": 0.9999, "x_hi": 1}'
+    assert main([command, "--config", str(cfg), band]) == 2
+    err = capsys.readouterr().err
+    assert "'theta_profile'" in err and "n_theta = 20" in err
+    assert "Traceback" not in err

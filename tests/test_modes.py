@@ -213,6 +213,24 @@ def test_sam_helicity_carrier_matches_nodewise_closed_form(wide_grid, nodewise_b
     assert np.array_equal(build_sam_wavepacket(spec, wide_grid).c, want.c)
 
 
+@pytest.mark.parametrize("w", [1, -1])
+def test_sam_projected_carrier_matches_nodewise_closed_form(wide_grid, nodewise_basis, w):
+    # the builder evaluates the kernel per angular node and the Gaussian per
+    # shell; both rows must equal the node-by-node products bit for bit
+    spec = ModeSpec(kind="sam_wavepacket", w=w, s_direction=(-0.4, 0.7, 0.5), kappa=9.0,
+                    carrier="projected", radial_profile={"k0": 1.1, "sigma_k": 0.3})
+    s = np.array([-0.4, 0.7, 0.5])
+    s = s / np.linalg.norm(s)
+    packet = (np.exp(-((wide_grid.k - 1.1) ** 2) / (4.0 * 0.3**2))
+              * np.exp(9.0 * (wide_grid.khat @ (w * s) - 1.0)))
+    same, opposite = np.einsum("hnc,c->hn", np.conj(nodewise_basis), eps_plus(s))[::w]
+    rows = np.zeros((3, wide_grid.n_nodes), dtype=complex)
+    rows[0 if w == 1 else 1] = packet * same
+    rows[1 if w == 1 else 0] = packet * opposite
+    want = normalize(WaveFunction.from_frame(wide_grid, rows))
+    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).c, want.c)
+
+
 def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
     rng = np.random.default_rng(5)
     n = wide_grid.n_nodes

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,33 +109,59 @@ def test_synthesis_matches_direct_sum():
 
 
 def test_synthesis_counts_the_equator_ring_once():
-    # odd n_theta: the equator ring is its own mirror and must count once
-    grid = build_grid(GridSpec(n_k=2, k_min=0.6, k_max=1.4, n_theta=7, n_phi=6))
-    v = random_state(grid, seed=17)
-    lattice = SpaceTimeLattice(origin=(-0.9, -1.1, -0.4), extents=(1.9, 2.2, 1.2),
-                               n_x=4, n_y=5, n_z=3)
-    snap = synthesize_fields(v, lattice, time=-0.45)
-    A, E, dA = direct_fields(v, lattice, -0.45)
-    np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
-    np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
-    np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
+    # odd n_theta: the equator ring is its own mirror and must count once;
+    # with even n_phi every node also has an antipode, with odd n_phi none
+    for n_phi in (6, 5):
+        grid = build_grid(GridSpec(n_k=2, k_min=0.6, k_max=1.4, n_theta=7, n_phi=n_phi))
+        v = random_state(grid, seed=17)
+        lattice = SpaceTimeLattice(origin=(-0.9, -1.1, -0.4), extents=(1.9, 2.2, 1.2),
+                                   n_x=4, n_y=5, n_z=3)
+        snap = synthesize_fields(v, lattice, time=-0.45)
+        A, E, dA = direct_fields(v, lattice, -0.45)
+        np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
+        np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
+        np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
 
 
 def test_synthesis_matches_direct_sum_across_ring_blocks(monkeypatch):
-    # 3 shells of 25 mirror pairs; a small budget splits the 75 pairs into
-    # 7 blocks of 10 and a partial block of 5
+    # 3 shells of 25 mirror pairs, odd n_phi; small budgets split the 75
+    # pairs into 7 panels of 11 (the last one 9), each panel into stage-1
+    # blocks of 2 (the last one 1), and each 120-column stage-2 product
+    # into strips of 111 and 9
     grid = build_grid(GridSpec(n_k=3, k_min=0.7, k_max=1.3, n_theta=50, n_phi=7))
     v = random_state(grid, seed=5)
     lattice = SpaceTimeLattice(origin=(-1.2, -0.7, -0.9), extents=(2.3, 1.4, 1.9),
-                               n_x=5, n_y=4, n_z=3)
-    monkeypatch.setattr(synthesis, "_BLOCK_BYTES", 110 * 1024)
-    block = synthesis._pair_block(7, lattice.n_x, lattice.n_y)
-    assert 3 * block < 75 and 75 % block != 0
+                               n_x=5, n_y=4, n_z=6)
+    monkeypatch.setattr(synthesis, "_L2_BYTES", 16_000)
+    monkeypatch.setattr(synthesis, "_BUDGET_BYTES", 120_000)
+    assert synthesis._synthesis_blocks(75, 7, lattice.shape) == (2, 11, 111)
     snap = synthesize_fields(v, lattice, time=0.7)
     A, E, dA = direct_fields(v, lattice, 0.7)
     np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
     np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
     np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
+
+
+def test_synthesis_memory_stays_within_budget():
+    # one call on the larger com-synth lattice: the private buffers stay
+    # within the byte budget, on top of the output cube and two arrays of
+    # the size of the node samples
+    grid = build_grid(GridSpec(n_k=20, k_min=0.25, k_max=1.75, n_theta=44, n_phi=44))
+    v = random_state(grid, seed=2)
+    lattice = cube_lattice(k0=1.0, side_wavelengths=38.0 / (2.0 * np.pi), n=24)
+    n_pairs = 20 * 22
+    block, panel, _ = synthesis._synthesis_blocks(n_pairs, 22, lattice.shape)
+    assert panel < n_pairs and block < panel          # the budget binds
+    cube = 5 * 3 * 16 * lattice.n_x * lattice.n_y * lattice.n_z
+    samples = 3 * 16 * grid.n_nodes
+    tracemalloc.start()
+    try:
+        snap = synthesize_fields(v, lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= synthesis._BUDGET_BYTES + cube + 2 * samples
+    assert np.isfinite(snap.A).all()
 
 
 def test_electric_field_is_time_derivative():
@@ -243,6 +270,36 @@ def test_export_fields_roundtrip(tmp_path):
     assert sidecar["lattice"]["n_x"] == lattice.n_x
     assert sidecar["time"] == pytest.approx(0.2)
     assert geometry["shape"] == [4, 3, 2, 3]
+
+
+def _slice_per_value(snapshot, field, iz):
+    # the CSV written one value at a time; the oracle for export_slice
+    data = {"A": snapshot.A, "E": snapshot.E, "B": snapshot.B}[field]
+    lat = snapshot.lattice
+    z = lat.axis(2)[iz]
+    lines = [",".join(["x", "y", "z"]
+                      + [f"{p}_{field}{c}" for c in (1, 2, 3) for p in ("re", "im")])]
+    for ix, x in enumerate(lat.axis(0)):
+        for iy, y in enumerate(lat.axis(1)):
+            nums = []
+            for c in range(3):
+                nums.append(f"{data[ix, iy, iz, c].real:.17g}")
+                nums.append(f"{data[ix, iy, iz, c].imag:.17g}")
+            lines.append(f"{x:.17g},{y:.17g},{z:.17g}," + ",".join(nums))
+    return "\n".join(lines) + "\n"
+
+
+def test_export_slice_matches_per_value_formatting(tmp_path):
+    _, v, lattice = tiny_setup()
+    snap = synthesize_fields(v, lattice, time=0.4)
+    # signed zeros, subnormals and extreme exponents in one component
+    snap.E[0, :, 1, 2] = [-0.0 + 0.0j, 5e-324 - 1e300j, 1e-17 + 123456789.125j]
+    path = str(tmp_path / "slice.csv")
+    for field in ("A", "E", "B"):
+        for iz in range(lattice.n_z):
+            export_slice(snap, path, field=field, iz=iz)
+            with open(path) as fh:
+                assert fh.read() == _slice_per_value(snap, field, iz)
 
 
 def test_export_slice(tmp_path):
