@@ -397,12 +397,17 @@ def cmd_synth(cfg: dict) -> int:
     v = _build_checked_mode(grid_spec, mode_spec, tolerances)
     try:
         snapshot = synthesize_fields(v, lattice, time=lattice.times[0])
+        if "com_convergence_shift" in tolerances:
+            _gate(tolerances, "com_convergence_shift",
+                  "constants-of-motion shift under box growth",
+                  com_convergence_shift(v, snapshot))
     except ValueError as err:
         raise NumericalError(str(err)) from None
-    if "com_convergence_shift" in tolerances:
-        _gate(tolerances, "com_convergence_shift",
-              "constants-of-motion shift under box growth",
-              com_convergence_shift(v, snapshot))
+    except MemoryError as err:
+        raise NumericalError(
+            f"lattice 'n_x', 'n_y', 'n_z' = {lattice.shape}: fields cannot be "
+            f"allocated: {err}"
+        ) from None
     digest = config_hash(cfg)
     for entry in outputs:
         path = entry["path"]

@@ -8,6 +8,16 @@ are strictly interior, so theta = 0 and theta = pi never appear and the
 circular polarization basis is single valued on every node.
 
 Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
+
+Besides its nodes and weights a grid keeps three angular tables, each
+built on first use and kept for its lifetime: the local frame of its
+angular nodes (`frame`), the Legendre table on its polar nodes
+(`legendre`, grown to the largest degree and order asked) and, per
+azimuthal order m, the VSH helicity rows of the analysis (filled by
+`vsh._grid_rows`, grown to the largest l_max asked).  The rows hold
+2 (l_max + 1) n_theta floats per order: about 0.64 MB on the README
+`mode` grid (8x256x12) after its report and expansion dump, and 2.9 MB on
+a 12x64x64 grid after a report and a full-band round trip at l_max 31.
 """
 
 from __future__ import annotations
@@ -121,6 +131,9 @@ class WaveVectorGrid:
     frame : ndarray, shape (3, n_theta, n_phi, 3)
         The local unitary frame (eps_plus, eps_minus, khat) on the angular
         nodes, built on first use.
+    _helicity_rows : dict
+        Order m -> the read-only VSH helicity rows of the analysis, shape
+        (2, l_max+1, n_theta); empty until a transform runs.
     """
 
     def __init__(self, spec: GridSpec):
@@ -161,6 +174,7 @@ class WaveVectorGrid:
         self.n_nodes = self.k.size
         self.shape = (spec.n_k, spec.n_theta, spec.n_phi)
         self._legendre = None
+        self._helicity_rows = {}
 
     @cached_property
     def frame(self):

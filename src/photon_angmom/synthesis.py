@@ -296,6 +296,12 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
             )
     nx, ny, nz = lattice.shape
     (x0, y0, _), dx, dy = lattice.origin, lattice.spacing(0), lattice.spacing(1)
+    # fields d_x A, d_y A, d_z A, A, E/i, each a (z, y, component, x) plane
+    # stack; allocated first, so a lattice too large to hold fails at once
+    try:
+        cube = np.empty((5, nz, ny, 3, nx), dtype=complex)
+    except ValueError as err:   # numpy: more bytes than an address space holds
+        raise MemoryError(str(err)) from None
     n_k, n_theta, n_phi = grid.shape
     half = (n_theta + 1) // 2
     rows = _pair_rows(v, time)
@@ -312,8 +318,6 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
     block, panel_pairs, strip = _synthesis_blocks(n_pairs, n_h, lattice.shape)
     m0 = 6 * nx * ny                                           # floats of one plane
 
-    # fields d_x A, d_y A, d_z A, A, E/i, each a (z, y, component, x) plane stack
-    cube = np.empty((5, nz, ny, 3, nx), dtype=complex)
     out = cube.view(float).reshape(5, nz, m0)
     panel = np.empty((panel_pairs, 2, 3, m0))                  # (pair, Sigma | Delta, 1 | d_x | d_y)
     left = np.empty((panel_pairs, 3, ny, n_h), dtype=complex)  # (1 | i k_x | i k_y) e^{i k_y y}
@@ -472,24 +476,17 @@ def export_fields(snapshot: FieldSnapshot, path: str) -> dict:
     Cartesian components; each complex number as (re, im).  A geometry
     sidecar is written to <path>.geometry.json and also returned.
     """
-    fields = {"A": snapshot.A, "E": snapshot.E, "B": snapshot.B}
-    blocks = []
-    for name in ("A", "E", "B"):
-        flat = fields[name].reshape(-1)
-        pairs = np.empty((flat.size, 2), dtype="<f8")
-        pairs[:, 0] = flat.real
-        pairs[:, 1] = flat.imag
-        blocks.append(pairs)
     with open(path, "wb") as fh:
-        for b in blocks:
-            fh.write(b.tobytes())
+        for field in (snapshot.A, snapshot.E, snapshot.B):
+            # complex128 is the (re, im) float64 pair; one C-order copy each
+            fh.write(np.ascontiguousarray(field, dtype="<c16"))
     geometry = {
         "lattice": snapshot.lattice.to_dict(),
         "time": snapshot.time,
         "fields": ["A", "E", "B"],
         "layout": "site-major, component-minor, complex as (re, im) float64 LE",
         "shape": list(snapshot.lattice.shape) + [3],
-        "bytes_per_field": int(blocks[0].nbytes),
+        "bytes_per_field": 16 * snapshot.A.size,
     }
     with open(path + ".geometry.json", "w") as fh:
         json.dump(geometry, fh, indent=1, sort_keys=True)

@@ -33,20 +33,29 @@ x = cos(theta),
 so each helicity component of Y1_lm is one real row times one azimuthal
 harmonic, and khat x eps_h = -i h eps_h turns Y2_lm into the same rows.
 `analyze` takes one FFT in phi of the two components and, per order m,
-contracts FFT bin m - h of c_h against the Gauss-Legendre-weighted row
-H_h: with p_+ and p_- these two contractions (the -i of H_- folded in),
-the coefficients are a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize`
-is the transpose: it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and
-(a2 - i a1) H_- into bin m + 1 of c_-, one order at a time, so orders
-that alias onto one bin of a coarse azimuthal grid still add; an inverse
-FFT gives the rows of the state, with c_0 = 0: transverse by
-construction.
+contracts FFT bin m - h of c_h against the row H_h weighted by the phi
+and polar quadrature, (2 pi / n_phi) w_theta: with p_+ and p_- these two
+contractions (the -i of H_- folded in), the coefficients are
+a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize` is the transpose:
+it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and (a2 - i a1) H_- into
+bin m + 1 of c_-, one order at a time, so orders that alias onto one bin
+of a coarse azimuthal grid still add, divides out the quadrature weight,
+and an inverse FFT gives the rows of the state, with c_0 = 0: transverse
+by construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
 bandlimited content.  `observable_report` holds the FFT of all three
 frame rows already and hands it to the same contraction
-(`_analyze_spectrum`), so there is one analysis path.  Both transforms
-ask the grid's Legendre table only for the orders up to the window's
-largest |m| + 1.
+(`_analyze_spectrum`), so there is one analysis path.
+
+The weighted rows depend only on the grid and on m, so the grid keeps
+them (`_grid_rows`): per order, read-only, for its lifetime, built by
+`_helicity_rows` the first time a transform asks for the order and built
+again only when a larger l_max is asked.  Row l does not depend on
+l_max, so the rows of a larger band serve every smaller one as a slice,
+and both transforms read the same table.  An order holds
+2 (l_max + 1) n_theta floats: after a report and a round trip at the
+largest full band, about 0.64 MB on the README `mode` grid (8x256x12),
+0.26 MB on the README library grid (12x32x32) and 2.9 MB on 12x64x64.
 """
 
 from __future__ import annotations
@@ -119,6 +128,32 @@ def _helicity_rows(table, weight, mix, m: int):
     """
     rows = _signed_rows(table[: weight.shape[1]], [m + 1, m - 1, m])
     return np.einsum("hc...,cl,cl...->hl...", mix, weight, rows)
+
+
+def _polar_quadrature(grid: WaveVectorGrid):
+    """Weight (2 pi / n_phi) w_theta of one node of each polar ring."""
+    return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
+
+
+def _grid_rows(grid: WaveVectorGrid, l_max: int, ms):
+    """Analysis rows (H_+, H_-) of each order m in ms, degrees 0..l_max,
+    with `_polar_quadrature` folded in: read-only, shape (2, l_max+1, n_theta).
+
+    The grid keeps them per order for its lifetime.  An order asked for a
+    larger l_max than it holds is built again up to that l_max; row l does
+    not depend on l_max, so a held order serves every smaller l_max as a
+    slice.
+    """
+    held = grid._helicity_rows
+    stale = [int(m) for m in ms if m not in held or held[m].shape[1] <= l_max]
+    if stale:
+        table = grid.legendre(l_max + 1, max(abs(m) for m in stale) + 1)
+        mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
+        for m, weight in zip(stale, _ladder_weights(l_max, stale)):
+            rows = _helicity_rows(table, weight, mix, m)
+            rows.flags.writeable = False
+            held[m] = rows
+    return [held[m][:, : l_max + 1] for m in ms]
 
 
 def scalar_ylm(l: int, m: int, theta, phi):
@@ -303,18 +338,12 @@ def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> V
         if m_min > m_max or m_min < -l_max or m_max > l_max:
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
-    table = grid.legendre(l_max + 1, max(-m_min, m_max) + 1)
     n_k, n_theta, n_phi = grid.shape
     ms = np.arange(m_min, m_max + 1)
-    weights = _ladder_weights(l_max, ms)
-    # the phi and polar quadrature, folded into the x-mix
-    quad = (2.0 * np.pi / n_phi) * grid.x_weights
-    mix = quad * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
     # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
     p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
-    for i, m in enumerate(ms):
+    for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, l_max, ms))):
         picked = spectrum[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]]
-        rows = _helicity_rows(table, weights[i], mix, m)
         p[..., i] = picked @ rows.transpose(0, 2, 1)
     # with the -i of H_- conjugated into p_- = i p[1]:
     # a1 = p_+ + p_-, a2 = i (p_+ - p_-)
@@ -332,18 +361,19 @@ def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunct
     # a shifted window (J+- of an expansion) may reach past |m| = l_max,
     # where every slot is structurally zero
     ms = np.arange(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1)
-    table = grid.legendre(e.l_max + 1, np.abs(ms).max(initial=0) + 1)
-    weights = _ladder_weights(e.l_max, ms)
-    mix = _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
     a1, a2 = e.coeffs[..., ms - e.m_min]
     # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-
     q = np.stack([a1 - 1j * a2, a2 - 1j * a1])
-    # bins[h, k, theta, mu]: e^{i mu phi} amplitude of c_h.  Orders are
-    # added one at a time, so orders that alias onto one bin of a coarse
-    # azimuthal grid add up.
-    bins = np.zeros((2, n_k, n_theta, n_phi), dtype=complex)
-    for i, m in enumerate(ms):
-        rows = _helicity_rows(table, weights[i], mix, m)
-        bins[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]] += q[..., i] @ rows
+    # bins[h, mu]: the (k, theta) rows of the e^{i mu phi} amplitude of c_h.
+    # Orders are added one at a time, so orders that alias onto one bin of
+    # a coarse azimuthal grid add up.
+    bins = np.zeros((2, n_phi, n_k, n_theta), dtype=complex)
+    for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, e.l_max, ms))):
+        c_plus, c_minus = q[..., i] @ rows
+        bins[0, (m - 1) % n_phi] += c_plus
+        bins[1, (m + 1) % n_phi] += c_minus
+    # the rows carry the polar quadrature of the analysis
+    bins /= _polar_quadrature(grid)
     # the inverse FFT evaluates the amplitudes at the azimuthal nodes; c_0 = 0
-    return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))
+    c = np.fft.ifft(bins, axis=1, norm="forward")
+    return WaveFunction.from_frame(grid, np.moveaxis(c, 1, -1))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -453,6 +454,22 @@ def test_synth_aliasing_is_numerical_error(tmp_path, capsys):
     cfg = synth_config(tmp_path, out, n_x=3)
     assert main(["synth", "--config", str(cfg)]) == 3
     assert "alias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [200000, 2000000], ids=["1.67EiB", "beyond-int64"])
+def test_synth_lattice_beyond_memory_is_numerical_error(tmp_path, capsys, n):
+    # the fields cannot be allocated, or their size overflows numpy's byte
+    # count; the first allocation fails, before any table of the lattice's
+    # size is built
+    out = tmp_path / "fields.bin"
+    cfg = synth_config(tmp_path, out, n_x=n, n_y=n, n_z=n)
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["synth", "--config", str(cfg)]) == 3
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_kb < 64 * 1024
+    err = capsys.readouterr().err
+    assert "lattice 'n_x', 'n_y', 'n_z'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_synth_com_shift_gate(tmp_path, capsys):

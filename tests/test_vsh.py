@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from photon_angmom import vsh
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
+from photon_angmom.operators import observable_report
 from photon_angmom.vsh import (
     VshExpansion,
     analyze,
@@ -391,3 +395,76 @@ def test_helicity_eigenstate_coefficients_pair_up(grid, kind, w):
                         radial_profile={"k0": 1.0, "sigma_k": 0.3})
     a1, a2 = analyze(build_mode(spec, grid), l_max=10).coeffs
     _assert_rel(a2, 1j * w * a1)
+
+
+# The kspace-sweep grids of the benchmark, each with the largest full
+# window it resolves, and a packet at the wide end of its 12x64x64 family.
+SWEEP = (
+    (GridSpec(n_k=8, k_min=0.94, k_max=1.06, n_theta=256, n_phi=12), 5),
+    (GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=32, n_phi=32), 15),
+    (GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=64, n_phi=64), 31),
+)
+SWEEP_PACKET = ModeSpec(
+    kind="sam_wavepacket", w=1, kappa=7.0,
+    s_direction=[np.sin(0.25), 0.0, np.cos(0.25)],
+    radial_profile={"k0": 1.0, "sigma_k": 0.1},
+)
+
+
+def _assert_grid_rows_are_built_rows(g, l_max, ms):
+    """The rows the grid serves equal `_helicity_rows` built afresh with the
+    analysis quadrature, bit for bit, on every order and degree."""
+    table = legendre_normalized(l_max + 1, g.x_nodes, max(abs(m) for m in ms) + 1)
+    quad = (2.0 * np.pi / g.spec.n_phi) * g.x_weights
+    mix = quad * vsh._x_mix(g.x_nodes, np.sin(g.theta_nodes))
+    for m, rows in zip(ms, vsh._grid_rows(g, l_max, ms)):
+        built = vsh._helicity_rows(table, vsh._ladder_weights(l_max, [m])[0], mix, m)
+        assert rows.shape == built.shape and rows.tobytes() == built.tobytes(), m
+        assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("spec, l_max", SWEEP, ids=["8x256x12", "12x32x32", "12x64x64"])
+def test_grid_rows_are_the_builders_rows(spec, l_max):
+    g = build_grid(spec)
+    full = range(-l_max, l_max + 1)
+    _assert_grid_rows_are_built_rows(g, l_max, full)
+    # the report's band, on a window that reaches |m| = l_max as the J+-
+    # expansions of the report do; the orders it grows still serve the
+    # sweep's band
+    top = min(spec.n_theta - 1, 96)
+    _assert_grid_rows_are_built_rows(g, top, [-top, 1 - top, -1, 0, 1, top - 1, top])
+    _assert_grid_rows_are_built_rows(g, l_max, full)
+
+
+@pytest.mark.parametrize("bands", [(63, 31), (31, 63)], ids=["shrink", "grow"])
+def test_grid_rows_serve_either_band_order(bands):
+    g = build_grid(SWEEP[2][0])
+    for l_max in bands:
+        _assert_grid_rows_are_built_rows(g, l_max, range(-31, 32))
+    assert {rows.shape[1] for rows in g._helicity_rows.values()} == {64}
+
+
+def test_warm_grid_analyze_and_report_equal_a_fresh_grid():
+    spec = SWEEP[2][0]
+    warm = build_grid(spec)
+    # other content, a larger band first: the rows are held at l_max 63
+    observable_report(random_state(warm, seed=47))
+    synthesize(analyze(random_state(warm, seed=53), 31))
+
+    def outputs(analysis_grid, report_grid):
+        e = analyze(build_mode(SWEEP_PACKET, analysis_grid), 31)
+        report = observable_report(build_mode(SWEEP_PACKET, report_grid))
+        return e.coeffs.tobytes(), json.dumps(report.to_dict())
+
+    assert outputs(warm, warm) == outputs(build_grid(spec), build_grid(spec))
+
+
+def test_grid_rows_memory_stays_within_budget():
+    # the report and a full-window round trip of one sweep op on 12x64x64:
+    # 63 orders at l_max 31, those of the report's window at l_max 63
+    g = build_grid(SWEEP[2][0])
+    v = build_mode(SWEEP_PACKET, g)
+    assert g._helicity_rows == {}           # no transform ran yet
+    observable_report(v)
+    synthesize(analyze(v, 31))
+    assert sum(rows.nbytes for rows in g._helicity_rows.values()) <= 3_000_000
