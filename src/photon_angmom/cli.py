@@ -202,9 +202,12 @@ def parse_tolerances(cfg: dict) -> dict:
 
 def parse_seed(cfg: dict) -> int:
     try:
-        return strict_int(cfg.get("seed", 0), "seed")
+        seed = strict_int(cfg.get("seed", 0), "seed")
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _msg(err: Exception) -> str:

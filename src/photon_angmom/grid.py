@@ -9,12 +9,12 @@ circular polarization basis is single valued on every node.
 
 Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 
-Besides its nodes and weights a grid keeps three angular tables, each
+Besides its nodes and weights a grid keeps two angular tables, each
 built on first use and kept for its lifetime: the local frame of its
-angular nodes (`frame`), the Legendre table on its polar nodes
-(`legendre`, grown to the largest degree and order asked) and, per
-azimuthal order m, the VSH helicity rows of the analysis (filled by
-`vsh._grid_rows`, grown to the largest l_max asked).  The rows hold
+angular nodes (`frame`) and, per azimuthal order m, the VSH helicity rows
+of the analysis (filled by `vsh._grid_rows`, grown to the largest l_max
+asked; the Legendre table they are built from lives only while an order
+is filled).  The rows hold
 2 (l_max + 1) n_theta floats per order: about 0.64 MB on the README
 `mode` grid (8x256x12) after its report and expansion dump, and 2.9 MB on
 a 12x64x64 grid after a report and a full-band round trip at l_max 31.
@@ -173,7 +173,6 @@ class WaveVectorGrid:
         self.kvec = self.k[:, None] * self.khat
         self.n_nodes = self.k.size
         self.shape = (spec.n_k, spec.n_theta, spec.n_phi)
-        self._legendre = None
         self._helicity_rows = {}
 
     @cached_property
@@ -189,15 +188,6 @@ class WaveVectorGrid:
         khat = self.khat[:n_ang]
         rows = np.stack(helicity_basis(khat) + (khat,))
         return rows.reshape((3,) + self.shape[1:] + (3,))
-
-    def legendre(self, l_max: int, m_max: int):
-        """legendre_normalized table on the polar nodes holding at least
-        degree l_max and order m_max; grown on demand and kept."""
-        held = (0, 0) if self._legendre is None else self._legendre.shape[:2]
-        if held[0] <= l_max or held[1] <= m_max:
-            self._legendre = legendre_normalized(
-                max(l_max, held[0] - 1), self.x_nodes, max(m_max, held[1] - 1))
-        return self._legendre
 
     def node_fields(self, values):
         """Reshape flat node samples to (n_k, n_theta, n_phi, ...)."""

@@ -26,10 +26,14 @@ S3 = h cos(theta) is constant on each phi ring, so L3 = J3 - S3
 multiplies the same bin by mu + h_a - h_a cos(theta).
 
 So no mean or dispersion needs an operator applied.  `FrameMoments` is
-the one kernel that reads them: from c it forms the weighted densities
-rho_a = w |c_a|^2, whose integrals give the row totals, <S>, <W> and the
-W and S3 dispersions, and, when first read, one phi-FFT of c, whose ring
-power gives the J3 and L3 means and dispersions as Parseval sums.
+the one kernel that reads them.  It takes |c_a|^2 in one pass: from the
+unweighted power it reads the largest node amplitude, the transversality
+residual max |c_0| / max ||c(n)|| and the row totals (so the W
+dispersion) as its product with the weights; weighted in place, the same
+array becomes the densities rho_a = w |c_a|^2, whose integrals give <S>,
+<W> and the S3 dispersion.  When first read, one phi-FFT of c gives,
+through its ring power, the J3 and L3 means and dispersions as Parseval
+sums.
 `observable_report` and the verify programs (`paraxial_suite`,
 `sam_convergence`, `never_eigenstate`) all read their moments off it;
 the operators serve the identity suites.
@@ -50,7 +54,7 @@ import numpy as np
 
 from .grid import WaveVectorGrid
 from .vsh import VshExpansion, _analyze_spectrum, analyze, ladder, synthesize
-from .wavefunction import WaveFunction, _power
+from .wavefunction import WaveFunction, _peaks, _power, _transverse_ratio
 
 __all__ = [
     "FrameMoments",
@@ -179,12 +183,13 @@ def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
-def _support(v: WaveFunction, power, rel_tol: float) -> dict:
-    """`azimuthal_support` from the power |C|^2 of the phi-FFT C of c."""
-    n_phi = v.grid.spec.n_phi
-    floor = (rel_tol * max(v.peak_amplitude(), 1e-300) * n_phi) ** 2
-    bins = _bins(v.grid)
-    peaks = power.max(axis=(1, 2))
+def _support(moments: FrameMoments, rel_tol: float) -> dict:
+    """`azimuthal_support` from the moments' peak amplitude and the power
+    |C|^2 of the phi-FFT C of c."""
+    n_phi = moments.grid.spec.n_phi
+    floor = (rel_tol * max(moments.peak_amplitude, 1e-300) * n_phi) ** 2
+    bins = _bins(moments.grid)
+    peaks = moments.power.max(axis=(1, 2))
     return {h: bins[peak > floor] for h, peak in zip((1, -1, 0), peaks)}
 
 
@@ -197,7 +202,7 @@ def azimuthal_support(v: WaveFunction, rel_tol: float = 1e-12) -> dict:
     (`WaveFunction.peak_amplitude`); bin mu of row h holds J3 order
     mu + h.  For even n_phi, bin -n_phi/2 is the Nyquist bin.
     """
-    return _support(v, FrameMoments(v).power, rel_tol)
+    return _support(FrameMoments(v), rel_tol)
 
 
 def _window(support: dict, l_max: int):
@@ -221,11 +226,14 @@ class FrameMoments:
 
     Holds the frame rows c of v (`WaveFunction.c`, no conversion); every
     other attribute is formed from c on first read, with h = (+1, -1, 0)
-    the helicities of the rows.  The weighted densities
-    rho_a = weights |c_a|^2 give the row totals, <S>, <W> and the W and S3
-    dispersions; one phi-FFT of c gives the J3 and L3 means and
-    dispersions as Parseval sums.  A dispersion is ||O v - mean v||, which
-    on a normalized state is the report's eigen-residual.
+    the helicities of the rows.  One pass over |c_a|^2 gives the peak
+    node amplitude, the transversality residual and the row totals (so
+    the W dispersion), and then, weighted in place, the densities
+    rho_a = weights |c_a|^2 that give <S>, <W> and the S3 dispersion; no
+    second node-sized power array is held.  One phi-FFT of c gives the J3
+    and L3 means and dispersions as Parseval sums.  A dispersion is
+    ||O v - mean v||, which on a normalized state is the report's
+    eigen-residual.
     """
 
     def __init__(self, v: WaveFunction):
@@ -233,16 +241,34 @@ class FrameMoments:
         self.c = v.c
 
     @cached_property
+    def _row_power(self):
+        """The one pass over |c_a|^2: the peaks are read from the unweighted
+        power, which is then weighted in place into rho."""
+        rho = _power(self.c).reshape(3, -1)
+        peak, longitudinal = _peaks(rho)
+        totals = rho @ self.grid.weights
+        rho *= self.grid.weights
+        return rho, totals, peak, longitudinal
+
+    @property
     def rho(self):
         """rho[a] = weights |c_a|^2 per node, so sum(rho[a] * f) = <c_a, f c_a>."""
-        rho = _power(self.c).reshape(3, -1)
-        rho *= self.grid.weights
-        return rho
+        return self._row_power[0]
 
-    @cached_property
+    @property
     def totals(self):
         """<c_a, c_a> per row; they sum to ||v||^2."""
-        return self.rho.sum(axis=1)
+        return self._row_power[1]
+
+    @property
+    def peak_amplitude(self) -> float:
+        """max ||c(n)||, as `WaveFunction.peak_amplitude`."""
+        return self._row_power[2]
+
+    @property
+    def transverse_residual(self) -> float:
+        """max |c_0| / max ||c(n)||, as `wavefunction.transverse_residual`."""
+        return _transverse_ratio(*self._row_power[2:])
 
     @cached_property
     def _helicity_density(self):
@@ -380,7 +406,7 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
 
     if l_max is None:
         l_max = _report_l_max(grid)
-    window = _window(_support(v, moments.power, 1e-12), l_max)
+    window = _window(_support(moments, 1e-12), l_max)
     e = _analyze_spectrum(grid, moments.spectrum, l_max, window)
     j12 = [expansion_inner(e, apply_J(ax, e)).real for ax in (1, 2)]
     total_am = np.array([j12[0], j12[1], moments.j3])

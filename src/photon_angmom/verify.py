@@ -54,7 +54,7 @@ from .synthesis import (
     synthesize_fields,
 )
 from .vsh import VshExpansion, analyze, synthesize, vsh_pair
-from .wavefunction import norm, normalize, random_state, transverse_residual
+from .wavefunction import norm, normalize, random_state
 
 __all__ = [
     "algebraic_suite",
@@ -263,10 +263,11 @@ def paraxial_suite(seed: int = 0):
 
     Deterministic; `seed` is accepted for the uniform suite signature.
     Each mode is built once and read once in the local frame
-    (`FrameMoments`): the W residual about the label w is
-    sqrt(sum_a (h_a - w)^2 <c_a, c_a>), and on the first w0 of the sweep
-    the J3 mean and dispersion are Parseval sums over one phi-FFT.
-    Transversality is read off the longitudinal row c_0.
+    (`FrameMoments`), from one pass over |c_a|^2: the W residual about the
+    label w is sqrt(sum_a (h_a - w)^2 <c_a, c_a>), and transversality is
+    the largest longitudinal part |c_0| over the largest node amplitude.
+    On the first w0 of the sweep the J3 mean and dispersion are Parseval
+    sums over one phi-FFT.
     """
     grid = build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
 
@@ -283,7 +284,7 @@ def paraxial_suite(seed: int = 0):
                 r_j3_eig = _worst(r_j3_eig, abs(moments.j3 - spec.m))
                 r_j3_disp = _worst(r_j3_disp, moments.j3_dispersion)
             rw = _worst(rw, moments.w_dispersion(spec.w))
-            rt = _worst(rt, transverse_residual(v))
+            rt = _worst(rt, moments.transverse_residual)
             del moments  # hold no frame arrays across the next build
         w_res.append(rw)
         t_res.append(rt)

@@ -147,7 +147,7 @@ def _grid_rows(grid: WaveVectorGrid, l_max: int, ms):
     held = grid._helicity_rows
     stale = [int(m) for m in ms if m not in held or held[m].shape[1] <= l_max]
     if stale:
-        table = grid.legendre(l_max + 1, max(abs(m) for m in stale) + 1)
+        table = legendre_normalized(l_max + 1, grid.x_nodes, max(abs(m) for m in stale) + 1)
         mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
         for m, weight in zip(stale, _ladder_weights(l_max, stale)):
             rows = _helicity_rows(table, weight, mix, m)

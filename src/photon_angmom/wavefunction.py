@@ -13,6 +13,11 @@ frame is unitary, the inner product <u, v> = int d^3k conj(u) . v is the
 weighted sum of conj(u_a) v_a over rows and nodes, and every quantum
 expectation in the package reduces to it.
 
+The largest node amplitude max ||c(n)|| and the largest longitudinal part
+max |c_0| are read off |c_a|^2 by one helper (`_peaks`), which
+`WaveFunction.peak_amplitude`, `transverse_residual` and the one power
+pass of `operators.FrameMoments` share.
+
 The Cartesian samples v(k) are the boundary form.  Every state the
 package builds is written as its rows (`WaveFunction.from_frame`); only
 samples from outside it pass through `WaveFunction(grid, values)`, the
@@ -47,6 +52,17 @@ def _power(a):
 def _node_power(v):
     """||c(n)||^2 = ||v(n)||^2 at every node, flat in node order."""
     return _power(v.c).sum(axis=0).ravel()
+
+
+def _peaks(power):
+    """(max ||c(n)||, max |c_0|) from the row powers |c_a|^2, shape (3, ...):
+    the largest node amplitude and the largest longitudinal part."""
+    return float(np.sqrt(power.sum(axis=0).max())), float(np.sqrt(power[2].max()))
+
+
+def _transverse_ratio(peak: float, longitudinal: float) -> float:
+    """max |c_0| relative to max ||c(n)||; 0 for the zero state."""
+    return 0.0 if peak == 0.0 else longitudinal / peak
 
 
 def _read_only(a):
@@ -134,7 +150,7 @@ class WaveFunction:
 
     def peak_amplitude(self) -> float:
         """max over nodes of ||c(n)|| = ||v(n)||, a frame-invariant scale."""
-        return float(np.sqrt(_node_power(self).max()))
+        return _peaks(_power(self.c))[0]
 
     def __add__(self, other):
         self._same_grid(other)
@@ -180,10 +196,7 @@ def normalize(v: WaveFunction) -> WaveFunction:
 def transverse_residual(v: WaveFunction) -> float:
     """max |c_0| = max |khat . v| over nodes, relative to the largest node
     amplitude max ||c(n)|| (`WaveFunction.peak_amplitude`)."""
-    scale = v.peak_amplitude()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(v.c[2]).max() / scale)
+    return _transverse_ratio(*_peaks(_power(v.c)))
 
 
 def random_state(grid: WaveVectorGrid, seed: int = 0) -> WaveFunction:

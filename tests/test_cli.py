@@ -361,6 +361,16 @@ def test_integral_float_seed_is_accepted(tmp_path):
     assert main(["mode", "--config", str(cfg)]) == 0
 
 
+def test_negative_seed_is_config_error_naming_seed(tmp_path, capsys):
+    # numpy's generators reject a negative seed without naming the key
+    for args in (["verify", "--suite", "algebraic", "--seed", "-1"],
+                 ["mode", "--config", str(write_config(tmp_path, seed=-1))]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "non-negative" in err
+        assert "Traceback" not in err
+
+
 def test_verify_suite_rows_and_exit_code(tmp_path, capsys):
     assert main(["verify", "--suite", "algebraic", "--seed", "5"]) == 0
     rows = json.loads(capsys.readouterr().out)

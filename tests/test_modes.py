@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from photon_angmom import wavefunction
+from photon_angmom import modes, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import (
     _KIND_KEYS,
@@ -16,7 +16,13 @@ from photon_angmom.modes import (
     scalar_lg,
     theta_distribution,
 )
-from photon_angmom.operators import apply_J3_azimuthal, apply_S, apply_W, observable_report
+from photon_angmom.operators import (
+    FrameMoments,
+    apply_J3_azimuthal,
+    apply_S,
+    apply_W,
+    observable_report,
+)
 from photon_angmom.polarization import eps_plus, helicity_basis
 from photon_angmom.wavefunction import (
     WaveFunction,
@@ -45,6 +51,18 @@ def _helicity_rows(amp, w):
     rows = np.zeros((3,) + amp.shape, dtype=complex)
     rows[0 if w == 1 else 1] = amp
     return rows
+
+
+# The builders normalize from their factors: 1/||v|| multiplies the smaller
+# factor of each row before the one product that writes it, and ||v|| is
+# summed per factor, not over the grid.  The rows then differ from the
+# node-by-node product normalized by the full-grid norm by a few ulp.
+_BUILD_ULP = 4
+
+
+def _assert_rows_within_ulp(got, want):
+    """Frame rows equal to within _BUILD_ULP on their real and imaginary parts."""
+    np.testing.assert_array_max_ulp(got.view(float), want.view(float), maxulp=_BUILD_ULP)
 
 
 def _j3w_spec(m, w, theta_profile=None):
@@ -158,7 +176,7 @@ def test_vector_lg_factor_axes_match_nodewise_closed_form(gs):
             spec = ModeSpec(kind="vector_lg", m=m, w=w, p=p, w0=w0, k_fixed=1.0,
                             radial_profile={"sigma_k": sigma_k})
             want = _lg_frame_nodewise(grid, m, w, p, w0, 1.0, sigma_k)
-            assert np.array_equal(build_vector_lg(spec, grid).c, want.c)
+            _assert_rows_within_ulp(build_vector_lg(spec, grid).c, want.c)
 
 
 @pytest.mark.parametrize("theta_profile", [
@@ -176,7 +194,7 @@ def test_j3_w_factor_axes_match_nodewise_closed_form(grid, theta_profile):
             h = np.exp(-((grid.theta - 0.4) ** 2) / (4.0 * 0.3**2))
         amp = g * h * np.exp(1j * (m - w) * grid.phi)
         want = normalize(WaveFunction.from_frame(grid, _helicity_rows(amp, w)))
-        assert np.array_equal(build_j3_w_eigenstate(spec, grid).c, want.c)
+        _assert_rows_within_ulp(build_j3_w_eigenstate(spec, grid).c, want.c)
 
 
 # grid.frame is shared by the spin packet builder and every `values` read;
@@ -210,7 +228,7 @@ def test_sam_helicity_carrier_matches_nodewise_closed_form(wide_grid, nodewise_b
     pol = nodewise_basis[0 if w == 1 else 1]
     amp = np.einsum("nc,c->n", np.conj(pol), eps_plus(s))
     want = normalize(WaveFunction.from_frame(wide_grid, _helicity_rows(g * kernel * amp, w)))
-    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).c, want.c)
+    _assert_rows_within_ulp(build_sam_wavepacket(spec, wide_grid).c, want.c)
 
 
 @pytest.mark.parametrize("w", [1, -1])
@@ -228,7 +246,7 @@ def test_sam_projected_carrier_matches_nodewise_closed_form(wide_grid, nodewise_
     rows[0 if w == 1 else 1] = packet * same
     rows[1 if w == 1 else 0] = packet * opposite
     want = normalize(WaveFunction.from_frame(wide_grid, rows))
-    assert np.array_equal(build_sam_wavepacket(spec, wide_grid).c, want.c)
+    _assert_rows_within_ulp(build_sam_wavepacket(spec, wide_grid).c, want.c)
 
 
 def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
@@ -242,6 +260,36 @@ def test_random_state_matches_nodewise_closed_form(wide_grid, nodewise_basis):
     # the Cartesian samples, formed on the grid's frame
     (ep, em), (vp, vm) = nodewise_basis, v.c[:2].reshape(2, -1)
     assert np.array_equal(v.values, vp[:, None] * ep + vm[:, None] * em)
+
+
+_FACTOR_NORM_CASES = [
+    (GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12),
+     [ModeSpec(kind="vector_lg", m=m, p=p, w=w, w0=w0, k_fixed=1.0,
+               radial_profile={"sigma_k": 0.02})
+      for m, p, w, w0 in ((-2, 0, 1, 20.0), (3, 2, -1, 20.0), (1, 1, 1, 67.0))]),
+    (GridSpec(n_k=12, k_min=0.4, k_max=1.8, n_theta=48, n_phi=14),
+     [_j3w_spec(m, w, prof) for m, w in ((1, 1), (-2, -1), (0, -1)) for prof in (
+         None, {"kind": "gaussian_in_theta", "theta0": 0.4, "sigma_theta": 0.3},
+         {"kind": "uniform_band", "x_lo": -0.3, "x_hi": 0.8})]),
+    (GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=64, n_phi=64),
+     [ModeSpec(kind="sam_wavepacket", w=w, kappa=kappa, s_direction=(0.3, 0.2, 1.0),
+               carrier=carrier, radial_profile={"k0": 1.0, "sigma_k": 0.1})
+      for w in (1, -1) for kappa in (2.0, 400.0) for carrier in ("helicity", "projected")]),
+]
+
+
+@pytest.mark.parametrize("gs, specs", _FACTOR_NORM_CASES, ids=["vector_lg", "j3_w", "sam"])
+def test_factor_summed_norm_matches_full_grid_norm(gs, specs):
+    # the builders sum ||v||^2 per factor; the full-grid sum of the
+    # normalized rows must read 1, and the moments' one power pass must
+    # give the wavefunction readers' peak and transversality exactly
+    grid = build_grid(gs)
+    for spec in specs:
+        v = build_mode(spec, grid)
+        assert abs(norm(v) - 1.0) <= 1e-15, spec
+        moments = FrameMoments(v)
+        assert moments.peak_amplitude == v.peak_amplitude()
+        assert moments.transverse_residual == transverse_residual(v)
 
 
 def test_j3_w_eigenstate_eigenvalues(grid):
@@ -433,16 +481,24 @@ def test_sam_projected_carrier_matches_cartesian_projection(grid, w, s_direction
 ])
 def test_builders_write_frame_rows(lg_grid, monkeypatch, kind, carrier):
     # every builder writes its frame rows: no forward conversion of
-    # Cartesian samples, and no Cartesian samples formed
-    calls = {"_frame_rows": 0, "values": 0}
+    # Cartesian samples, and no Cartesian samples formed; and it normalizes
+    # from its factors: no rescaled copy of the state, and no power taken
+    # on the full grid
+    calls = {"_frame_rows": 0, "values": 0, "__mul__": 0}
     monkeypatch.setattr(wavefunction, "_frame_rows",
                         _counted(calls, "_frame_rows", wavefunction._frame_rows))
     monkeypatch.setattr(WaveFunction, "values",
                         property(_counted(calls, "values", WaveFunction.values.fget)))
+    monkeypatch.setattr(WaveFunction, "__mul__",
+                        _counted(calls, "__mul__", WaveFunction.__mul__))
+    sizes = []
+    monkeypatch.setattr(modes, "_power",
+                        lambda a: sizes.append(np.size(a)) or wavefunction._power(a))
     spec = ModeSpec(kind=kind, m=1, s_direction=(0.3, 0.2, 1.0), carrier=carrier)
     v = build_mode(spec, lg_grid)
+    assert calls == {"_frame_rows": 0, "values": 0, "__mul__": 0}
+    assert sizes and max(sizes) < lg_grid.n_nodes
     assert abs(norm(v) - 1.0) < 1e-12
-    assert calls == {"_frame_rows": 0, "values": 0}
 
 
 def test_sam_packet_negative_w_support(packet_grid):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
 from photon_angmom import cli, operators, verify, wavefunction
@@ -103,6 +104,46 @@ def test_frame_moments_match_operator_path_on_sam_wavepacket():
                     radial_profile={"k0": 1.0, "sigma_k": 0.1})
     v = build_mode(spec, grid)
     _assert_matches(_kernel(FrameMoments(v)), _oracle(v), "sam_wavepacket")
+
+
+def _lg_ring_powers(m, p, w, w0, sigma_k, k, theta):
+    """|c_w|^2, |c_-w|^2 and |c_0|^2 of the vector LG closed form (k_fixed
+    = 1) on (k, theta) rings, from scipy's Laguerre polynomials; the phases
+    e^{i n phi} have unit modulus, so no azimuthal node enters."""
+    am = abs(m - w)
+    u = 0.5 * (w0 * k * np.sin(theta)) ** 2
+    lg2 = (w0**2 / (2.0 * np.pi) * np.exp(gammaln(p + 1.0) - gammaln(p + am + 1.0))
+           * u**am * eval_genlaguerre(p, am, u) ** 2 * np.exp(-u))
+    a2 = lg2 * np.exp(-((k - 1.0) ** 2) / (2.0 * sigma_k**2)) * (theta <= 0.5 * np.pi) / 2.0
+    cos, sin = np.cos(theta), np.sin(theta)
+    return (a2 * (1.0 + cos + theta * sin) ** 2 / 2.0,
+            a2 * (cos - 1.0 + theta * sin) ** 2 / 2.0,
+            a2 * (sin - theta * cos) ** 2)
+
+
+def test_paraxial_w_and_transversality_match_ring_quadrature():
+    # the first w0 of the paraxial_suite matrix: the W residual about the
+    # label w and the transversality residual, against a (k, theta)
+    # quadrature of the closed-form rows written out here
+    grid = build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
+    xr, wr = np.polynomial.legendre.leggauss(8)
+    k = 0.87 + 0.13 * (xr + 1.0)
+    wk = 0.13 * wr * k**2
+    xt, wt = np.polynomial.legendre.leggauss(512)
+    k, theta = k[:, None], np.arccos(xt)[None, :]
+    ring_weights = 2.0 * np.pi * wk[:, None] * wt[None, :]
+    for spec, v in verify._lg_matrix(grid, w0=20.0):
+        same, opposite, longitudinal = _lg_ring_powers(
+            spec.m, spec.p, spec.w, spec.w0, 0.02, k, theta)
+        totals = [np.sum(ring_weights * r) for r in (same, opposite, longitudinal)]
+        w_disp = np.sqrt((4.0 * totals[1] + totals[2]) / sum(totals))
+        transverse = np.sqrt(longitudinal.max() / (same + opposite + longitudinal).max())
+        moments = FrameMoments(v)
+        label = f"m={spec.m} p={spec.p} w={spec.w}"
+        np.testing.assert_allclose(moments.w_dispersion(spec.w), w_disp, rtol=1e-12,
+                                   err_msg=label)
+        np.testing.assert_allclose(moments.transverse_residual, transverse, rtol=1e-12,
+                                   err_msg=label)
 
 
 def _counted(calls, name, fn):

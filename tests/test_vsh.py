@@ -52,18 +52,24 @@ def test_legendre_orthogonality():
                 np.testing.assert_allclose(val, ref, atol=2e-14)
 
 
-def test_legendre_order_cap_keeps_rows_and_grid_table_grows_only_as_asked():
+def test_legendre_order_cap_keeps_rows_and_refilled_grid_rows_are_bit_identical():
     x, _ = np.polynomial.legendre.leggauss(30)
     full = legendre_normalized(20, x)
     for m_max in (0, 1, 4, 19, 20, 25):
         capped = legendre_normalized(20, x, m_max)
         assert capped.shape == (21, min(m_max, 20) + 1, 30)
         assert np.array_equal(capped, full[:, : min(m_max, 20) + 1])
-    # a narrow report window on the README grid needs four orders, not 98
+    # each fill of the grid's rows builds its own Legendre table, capped at
+    # the orders it fills; an order refilled for a larger band from a
+    # larger table keeps its rows, bit for bit
     g = build_grid(GridSpec(n_k=2, k_min=0.94, k_max=1.06, n_theta=256, n_phi=12))
-    assert g.legendre(97, 3).shape == (98, 4, 256)
-    assert g.legendre(10, 3).shape == (98, 4, 256)
-    assert g.legendre(20, 6).shape == (98, 7, 256)
+    first = {m: rows.tobytes() for m, rows in zip((-1, 0, 1), vsh._grid_rows(g, 10, (-1, 0, 1)))}
+    refilled = vsh._grid_rows(g, 97, range(-6, 7))
+    for m, rows in zip(range(-6, 7), refilled):
+        assert rows.shape == (2, 98, 256)
+        if m in first:
+            assert rows[:, :11].tobytes() == first[m], m
+    assert not hasattr(g, "legendre") and not hasattr(g, "_legendre")
 
 
 def test_scalar_ylm_closed_forms():
