@@ -7,34 +7,17 @@ The package also builds the standard eigenmode families, analyzes spin
 uncertainty, and synthesizes real-space fields for cross-checks of the
 constants of motion.
 
-Set PHOTON_ANGMOM_THREADS to cap BLAS/OpenMP parallelism; it must be acted
-on before numpy first loads, which is why it is handled here.
+PHOTON_ANGMOM_THREADS sets the number of cores the package uses; unset, it
+is every CPU this process may run on.  The package splits field synthesis
+over that many worker threads and pins BLAS/OpenMP to one thread, so the
+two do not compete for cores.  The pin must act before numpy first loads,
+which is why it is applied here; if numpy was imported first, the package
+runs one worker (see `photon_angmom.parallel`).
 """
 
-import os as _os
+from . import parallel as _parallel
 
-
-def _cap_threads():
-    raw = _os.environ.get("PHOTON_ANGMOM_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n < 1:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        _os.environ[var] = str(n)
-
-
-_cap_threads()
+_parallel.configure()
 
 from .grid import GridSpec, WaveVectorGrid, angular_integrate, build_grid, integrate
 from .polarization import eps_minus, eps_plus, helicity_basis

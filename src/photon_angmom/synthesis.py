@@ -71,14 +71,31 @@ times e^{i k m dx}.  Each entry is a product of at most 1 + ceil(log2 n)
 correctly rounded phases, and a pair costs 2 + ceil(log2 nx) +
 ceil(log2 ny) cos/sin per phi node instead of 2 (nx + ny).
 
+Parallelism: the package's workers (PHOTON_ANGMOM_THREADS of them, at
+most _MAX_WORKERS, see `photon_angmom.parallel`) split both stages of
+every panel, with BLAS on one thread; the pair rows are formed once, on
+the calling thread.  Per panel, each worker takes a contiguous range of
+its pairs for stage 1: their phase tables, right rows and products, into
+its own rows of the panel.  Each then takes a contiguous range of the
+output columns for stage 2, strip by strip.  No worker's part reorders a
+sum: stage 1 is one product per pair, and the columns of a stage-2
+product do not depend on how the columns are split, as long as every
+range and strip starts on a multiple of _COLUMN_ALIGN.  The panels
+depend on the CPUs, not on the worker count, so on one host the fields
+are the same, bit for bit, for any worker count.  Hosts with other CPU
+counts (or affinity masks) or other BLAS builds may differ at roundoff.
+
 Memory: one byte budget holds a stage-2 panel of planes with its x and y
-tables, one stage-1 block and one stage-2 strip; the block's right rows
-and the strip's product are sized to stay in L2, and the panel takes the
-rest.  Every stage-1 block of a panel writes its planes into the panel,
-and stage 2 then runs per strip of output columns, so each panel adds
-into the output once.  On top of the budget come the output and arrays
-of the size of the node samples.  The snapshot's A, E and dA are views of
-one (field, z, y, component, x) output.
+tables, and per CPU one stage-1 block, one stage-2 strip and the
+iterator buffers of one ufunc call (numpy may give each call up to three
+operands of 8192 elements), so that every worker has its own.  The
+block's right rows and the strip's product are sized to stay in L2, and
+the panel takes the rest.  Every stage-1 block of a panel writes its
+planes into the panel, and stage 2 then runs per strip of output
+columns, so each panel adds into the output once.  On top of the budget
+come the output and arrays of the size of the node samples.  The
+snapshot's A, E and dA are views of one (field, z, y, component, x)
+output.
 
 Real-space constants of motion evaluate the volume integrals
 
@@ -99,6 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .config import Reals, Spec, Vec3, coerce_fields
 from .operators import observable_report
 from .wavefunction import WaveFunction, norm
@@ -194,12 +212,25 @@ class FieldSnapshot:
 
 
 # One byte budget for the private buffers of synthesize_fields: the stage-2
-# panel of planes with its phase tables, one stage-1 block and one stage-2
-# strip.  The output cube comes on top.
+# panel of planes with its phase tables, and per CPU one stage-1 block, one
+# stage-2 strip and one ufunc call's buffers.  The output cube comes on top.
 _BUDGET_BYTES = 32 << 20
-# A stage-1 block's right factor and a stage-2 strip's product each stay
-# within this, so that the elementwise passes run in L2.
+# Each CPU's share of the budget holds one stage-1 block, one stage-2
+# strip and one ufunc call's buffers, within 2 * _L2_BYTES, so that the
+# elementwise passes run in L2.
 _L2_BYTES = 1 << 20
+# The iterator buffers numpy may give one ufunc call: three operands of
+# the default 8192 complex elements.  Each worker holds one call's at a time.
+_UFUNC_BYTES = 3 * 8192 * 16
+# Synthesis runs at most this many workers, so that their shares hold at
+# most half of _BUDGET_BYTES.
+_MAX_WORKERS = 16
+# Stage-2 strips and the workers' column ranges start on multiples of this
+# (a 64-byte line of floats).  It is also a multiple of the column unroll
+# of the BLAS dgemm kernels measured (OpenBLAS, x86-64), so each output
+# column is formed by the same kernel code however the columns are split,
+# and the output does not depend on the worker count.
+_COLUMN_ALIGN = 8
 
 
 def _phase(arg: np.ndarray) -> np.ndarray:
@@ -226,20 +257,26 @@ def _axis_phases(k: np.ndarray, x0: float, dx: float, out: np.ndarray) -> None:
         m += step
 
 
-def _synthesis_blocks(n_pairs: int, n_h: int, shape) -> tuple[int, int, int]:
-    """(block, panel, strip) of synthesize_fields.
+def _synthesis_blocks(n_pairs: int, n_h: int, shape, cpus: int = 1) -> tuple[int, int, int]:
+    """(block, panel, strip) of synthesize_fields on `cpus` CPUs.
 
-    Mirror pairs per stage-1 block, so that its right factor fits in
-    _L2_BYTES; output columns per stage-2 strip, likewise; and mirror pairs
-    per stage-2 panel, so that the planes and phase tables of a panel take
-    the rest of _BUDGET_BYTES.  The panels are balanced: the last one is
-    not a small remainder.
+    Each CPU (at most _MAX_WORKERS of them) gets a share of _BUDGET_BYTES:
+    2 * _L2_BYTES, less where the shares would otherwise hold more than
+    half the budget.  A share holds one ufunc call's buffers, and what is
+    left of it, halved, sizes the mirror pairs per stage-1 block (its right
+    factor) and the output columns per stage-2 strip (its product; in
+    multiples of _COLUMN_ALIGN).  The planes and phase tables of a stage-2
+    panel take the rest of the budget.  The panels are balanced: the last
+    one is not a small remainder.
     """
     nx, ny, nz = shape
-    block = max(1, _L2_BYTES // (192 * nx * n_h))
-    strip = max(1, _L2_BYTES // (24 * nz))
+    cpus = min(cpus, _MAX_WORKERS)
+    share = min(2 * _L2_BYTES, _BUDGET_BYTES // (2 * cpus))
+    l2 = (share - _UFUNC_BYTES) // 2
+    block = max(1, l2 // (192 * nx * n_h))
+    strip = max(1, l2 // (24 * nz * _COLUMN_ALIGN)) * _COLUMN_ALIGN
     per_pair = 288 * nx * ny + 16 * n_h * (nx + 3 * ny)
-    panel = max(block, (_BUDGET_BYTES - 2 * _L2_BYTES) // per_pair)
+    panel = max(block, (_BUDGET_BYTES - cpus * share) // per_pair)
     panel = -(-n_pairs // -(-n_pairs // panel))
     return min(block, panel), panel, strip
 
@@ -283,6 +320,13 @@ def _pair_rows(v: WaveFunction, time: float) -> np.ndarray:
     return rows.reshape(-1, 2, 3, 2, n_h)
 
 
+def _z_tables(kz: np.ndarray, om: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real stage-2 z tables, rows (pair, Sigma | Delta) and columns
+    (d_z A, A, E/i) x z, of the pairs with k_z `kz` and omega `om`, (pair, 1)."""
+    c, s = np.cos(kz * z), np.sin(kz * z)
+    return np.stack([-kz * s, c, om * c, kz * c, s, om * s], axis=1).reshape(2 * len(kz), 3 * len(z))
+
+
 def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
                       time: float = 0.0) -> FieldSnapshot:
     """Evaluate A, E and all d_a A_b on the lattice at one time."""
@@ -304,46 +348,51 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
         raise MemoryError(str(err)) from None
     n_k, n_theta, n_phi = grid.shape
     half = (n_theta + 1) // 2
+    workers = min(parallel.WORKERS, _MAX_WORKERS)
     rows = _pair_rows(v, time)
     n_pairs, n_h = len(rows), rows.shape[-1]
     kvec = grid.kvec.reshape(n_k, n_theta, n_phi, 3)[:, :half]   # the lower ring serves both
     kx = kvec[:, :, :n_h, 0].reshape(n_pairs, n_h)
     ky = kvec[:, :, :n_h, 1].reshape(n_pairs, n_h)
-    ikk = 1j * np.stack([kx, ky], axis=1)
-    # real z tables, rows (pair, Sigma | Delta), columns (d_z A, A, E/i) x z
     kz = kvec[:, :, 0, 2].reshape(n_pairs, 1)
     om = np.repeat(grid.k_nodes, half)[:, None]
-    c, s = np.cos(kz * lattice.axis(2)), np.sin(kz * lattice.axis(2))
-    tz = np.stack([-kz * s, c, om * c, kz * c, s, om * s], axis=1).reshape(2 * n_pairs, 3 * nz)
-    block, panel_pairs, strip = _synthesis_blocks(n_pairs, n_h, lattice.shape)
+    block, panel_pairs, strip = _synthesis_blocks(n_pairs, n_h, lattice.shape, parallel.CPUS)
     m0 = 6 * nx * ny                                           # floats of one plane
 
     out = cube.view(float).reshape(5, nz, m0)
     panel = np.empty((panel_pairs, 2, 3, m0))                  # (pair, Sigma | Delta, 1 | d_x | d_y)
     left = np.empty((panel_pairs, 3, ny, n_h), dtype=complex)  # (1 | i k_x | i k_y) e^{i k_y y}
     px = np.empty((nx, panel_pairs, n_h), dtype=complex)       # e^{-i k_x x}
-    right = np.empty((block, 2, 3, nx, 2, n_h), dtype=complex)
-    tmp = np.empty(3 * nz * strip)
-    for lo in range(0, n_pairs, panel_pairs):
-        n = min(panel_pairs, n_pairs - lo)
-        sl = slice(lo, lo + n)
-        _axis_phases(-kx[sl], x0, dx, out=px[:, :n])
-        _axis_phases(ky[sl], y0, dy, out=left[:n, 0].transpose(1, 0, 2))
-        np.multiply(ikk[sl, :, None], left[:n, 0, None], out=left[:n, 1:])
-        # stage 1: per pair, the real left against the right rows y_q e^{-i k_x x}
-        for b in range(0, n, block):
-            nb = min(block, n - b)
+    rights = [np.empty((block, 2, 3, nx, 2, n_h), dtype=complex) for _ in range(workers)]
+    tmps = [np.empty(3 * nz * strip) for _ in range(workers)]
+
+    def stage1(w, lo, n):
+        # worker w's pairs [b0, b1) of the panel: their tables, then per
+        # pair the real left against the right rows y_q e^{-i k_x x}
+        b0, b1 = parallel.split(n, workers, w)
+        sl = slice(lo + b0, lo + b1)
+        _axis_phases(-kx[sl], x0, dx, out=px[:, b0:b1])
+        _axis_phases(ky[sl], y0, dy, out=left[b0:b1, 0].transpose(1, 0, 2))
+        for a, k in ((1, kx), (2, ky)):
+            np.multiply(1j * k[sl, None], left[b0:b1, 0], out=left[b0:b1, a])
+        right = rights[w]
+        for b in range(b0, b1, block):
+            nb = min(block, b1 - b)
             np.multiply(rows[lo + b:lo + b + nb, :, :, None],
                         px[:, b:b + nb].transpose(1, 0, 2)[:, None, None, :, None],
                         out=right[:nb])
             np.matmul(left[b:b + nb].view(float).reshape(nb, 1, 3 * ny, 2 * n_h),
                       right[:nb].view(float).reshape(nb, 2, 6 * nx, 2 * n_h).transpose(0, 1, 3, 2),
                       out=panel[b:b + nb].reshape(nb, 2, 3 * ny, 6 * nx))
-        # stage 2: the (Sigma, Delta) rows of the panel against the z tables
-        table = tz[2 * lo:2 * (lo + n)]
+
+    def stage2(w, lo, n, table):
+        # worker w's output columns [c0, c1): the (Sigma, Delta) rows of the
+        # panel against its z tables, strip by strip
+        c0, c1 = parallel.split(m0, workers, w, align=_COLUMN_ALIGN)
+        tmp = tmps[w]
         planes = panel[:n].reshape(2 * n, 3, m0)
-        for c0 in range(0, m0, strip):
-            cs = slice(c0, c0 + strip)
+        for c in range(c0, c1, strip):
+            cs = slice(c, min(c + strip, c1))
             for dst, t, src in (
                 (out[2:5, :, cs].reshape(3 * nz, -1), table, planes[:, 0, cs]),
                 (out[:2, :, cs], table[:, nz:2 * nz], planes[:, 1:, cs].transpose(1, 0, 2)),
@@ -352,6 +401,11 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
                     np.matmul(t.T, src, out=dst)
                 else:
                     dst += np.matmul(t.T, src, out=tmp[:dst.size].reshape(dst.shape))
+
+    for lo in range(0, n_pairs, panel_pairs):
+        n = min(panel_pairs, n_pairs - lo)
+        parallel.run(workers, stage1, lo, n)
+        parallel.run(workers, stage2, lo, n, _z_tables(kz[lo:lo + n], om[lo:lo + n], lattice.axis(2)))
     cube[4] *= 1j
     return FieldSnapshot(
         lattice=lattice,

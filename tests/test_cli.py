@@ -3,11 +3,13 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photon_angmom import cli, synthesis, verify
+import photon_angmom
+from photon_angmom import cli, parallel, synthesis, verify
 from photon_angmom.cli import main
 
 
@@ -520,14 +522,27 @@ def test_missing_sections_and_help():
     assert main(["mode"]) == 2  # no grid/mode sections at all
 
 
-def test_threads_env_caps_blas(tmp_path):
-    code = ("import os; os.environ['PHOTON_ANGMOM_THREADS'] = '2'; "
-            "import photon_angmom; print(os.environ['OPENBLAS_NUM_THREADS'])")
-    run = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PHOTON_ANGMOM_THREADS": "2"})
-    assert run.returncode == 0
-    assert run.stdout.strip() == "2"
+def test_threads_env_pins_blas_and_sets_workers():
+    # PHOTON_ANGMOM_THREADS is the package's worker count; BLAS is pinned
+    # to one thread at import, and the import starts no thread
+    probe = ("import os, threading, photon_angmom; from photon_angmom import parallel; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), "
+             "parallel.WORKERS, threading.active_count())")
+    src = str(Path(photon_angmom.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in parallel.BLAS_VARS}
+    env.update(PHOTON_ANGMOM_THREADS="2", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "1", str(min(2, parallel.available_cpus())), "1"]
+    assert run.stderr == ""
+    # numpy first: BLAS has read its thread count, so the package runs one worker
+    run = subprocess.run([sys.executable, "-c", "import numpy; " + probe],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[2] == "1"
+    if parallel.available_cpus() > 1:
+        assert "PHOTON_ANGMOM_THREADS" in run.stderr
 
 
 @pytest.mark.parametrize("command", ["mode", "synth"])

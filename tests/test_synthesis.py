@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photon_angmom import synthesis
+import photon_angmom
+from photon_angmom import parallel, synthesis
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.synthesis import (
@@ -123,23 +128,94 @@ def test_synthesis_counts_the_equator_ring_once():
         np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
 
 
-def test_synthesis_matches_direct_sum_across_ring_blocks(monkeypatch):
-    # 3 shells of 25 mirror pairs, odd n_phi; small budgets split the 75
-    # pairs into 7 panels of 11 (the last one 9), each panel into stage-1
-    # blocks of 2 (the last one 1), and each 120-column stage-2 product
-    # into strips of 111 and 9
+# Small budgets for ring_block_setup: at one CPU they split its 75 mirror
+# pairs (3 shells of 25, odd n_phi) into 7 panels of 11 (the last one 9),
+# each panel into stage-1 blocks of 2 (the last one 1), and each 120-column
+# stage-2 product into strips of 104 and 16; at two CPUs, into 11 panels
+# of 7 (the last one 5) and strips of 96 and 24
+RING_BLOCK_BUDGETS = {"_L2_BYTES": 16_000, "_BUDGET_BYTES": 120_000, "_UFUNC_BYTES": 2_000}
+
+
+def ring_block_setup():
     grid = build_grid(GridSpec(n_k=3, k_min=0.7, k_max=1.3, n_theta=50, n_phi=7))
     v = random_state(grid, seed=5)
     lattice = SpaceTimeLattice(origin=(-1.2, -0.7, -0.9), extents=(2.3, 1.4, 1.9),
                                n_x=5, n_y=4, n_z=6)
-    monkeypatch.setattr(synthesis, "_L2_BYTES", 16_000)
-    monkeypatch.setattr(synthesis, "_BUDGET_BYTES", 120_000)
-    assert synthesis._synthesis_blocks(75, 7, lattice.shape) == (2, 11, 111)
+    return v, lattice
+
+
+def test_synthesis_matches_direct_sum_across_ring_blocks(monkeypatch):
+    v, lattice = ring_block_setup()
+    for name, value in RING_BLOCK_BUDGETS.items():
+        monkeypatch.setattr(synthesis, name, value)
+    assert synthesis._synthesis_blocks(75, 7, lattice.shape) == (2, 11, 104)
+    assert synthesis._synthesis_blocks(75, 7, lattice.shape, cpus=2) == (2, 7, 96)
     snap = synthesize_fields(v, lattice, time=0.7)
     A, E, dA = direct_fields(v, lattice, 0.7)
     np.testing.assert_allclose(snap.A, A, atol=1e-13 * np.abs(A).max())
     np.testing.assert_allclose(snap.E, E, atol=1e-13 * np.abs(E).max())
     np.testing.assert_allclose(snap.dA, dA, atol=1e-13 * np.abs(dA).max())
+
+
+# ring_block_setup synthesized in a fresh process, so that
+# PHOTON_ANGMOM_THREADS acts at import; argv[1] receives the fields
+_WORKER_RUN = """
+import sys
+sys.path[:0] = sys.argv[2:]
+import photon_angmom
+from photon_angmom import parallel, synthesis
+import numpy as np
+from test_synthesis import RING_BLOCK_BUDGETS, ring_block_setup
+for name, value in RING_BLOCK_BUDGETS.items():
+    setattr(synthesis, name, value)
+v, lattice = ring_block_setup()
+snap = photon_angmom.synthesize_fields(v, lattice, time=0.7)
+np.savez(sys.argv[1], workers=parallel.WORKERS, A=snap.A, E=snap.E, dA=snap.dA)
+"""
+
+
+def test_synthesis_is_independent_of_worker_count(tmp_path):
+    # ragged panels, blocks and strips, on one and on two workers: the
+    # workers split each panel's pairs and output columns, which reorders
+    # no sum, so the fields agree bit for bit
+    paths = [str(Path(photon_angmom.__file__).parents[1]), str(Path(__file__).parent)]
+    runs = {}
+    for n in (1, 2):
+        out = tmp_path / f"workers{n}.npz"
+        run = subprocess.run([sys.executable, "-c", _WORKER_RUN, str(out), *paths],
+                             env={**os.environ, "PHOTON_ANGMOM_THREADS": str(n)},
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs[n] = np.load(out)
+    assert runs[1]["workers"] == 1
+    assert runs[2]["workers"] == min(2, parallel.CPUS)
+    v, lattice = ring_block_setup()
+    for key, ref in zip(("A", "E", "dA"), direct_fields(v, lattice, 0.7)):
+        assert np.array_equal(runs[1][key], runs[2][key]), key
+        np.testing.assert_allclose(runs[1][key], ref, atol=1e-13 * np.abs(ref).max())
+
+
+def test_synthesis_workers_share_no_state(monkeypatch):
+    # more workers than CPUs, with the interpreter switching threads often:
+    # each worker writes only its own pairs and columns, so every run gives
+    # the one-worker fields
+    v, lattice = ring_block_setup()
+    for name, value in RING_BLOCK_BUDGETS.items():
+        monkeypatch.setattr(synthesis, name, value)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    ref = synthesize_fields(v, lattice, time=0.7)
+    monkeypatch.setattr(parallel, "WORKERS", parallel.CPUS + 2)
+    monkeypatch.setattr(parallel, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        snaps = [synthesize_fields(v, lattice, time=0.7) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+        parallel._pool.shutdown()
+    for snap in snaps:
+        for key in ("A", "E", "dA"):
+            assert np.array_equal(getattr(snap, key), getattr(ref, key)), key
 
 
 def test_synthesis_memory_stays_within_budget():
@@ -162,6 +238,19 @@ def test_synthesis_memory_stays_within_budget():
         tracemalloc.stop()
     assert peak <= synthesis._BUDGET_BYTES + cube + 2 * samples
     assert np.isfinite(snap.A).all()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_synthesis_memory_stays_within_budget_on_more_cpus(monkeypatch, cpus):
+    # every worker holds its own block, strip and ufunc buffers at once;
+    # the budget reserves them per CPU, so the same bound holds
+    monkeypatch.setattr(parallel, "CPUS", cpus)
+    monkeypatch.setattr(parallel, "WORKERS", cpus)
+    monkeypatch.setattr(parallel, "_pool", None)
+    try:
+        test_synthesis_memory_stays_within_budget()
+    finally:
+        parallel._pool.shutdown()
 
 
 def test_electric_field_is_time_derivative():
