@@ -50,7 +50,7 @@ from . import __version__
 from .config import finite_real, strict_int, string
 from .grid import GridSpec, build_grid
 from .modes import EmptyProfileError, ModeSpec, build_mode
-from .operators import azimuthal_support, observable_report
+from .operators import FrameMoments, _report, _support
 from .synthesis import (
     SpaceTimeLattice,
     com_convergence_shift,
@@ -60,7 +60,6 @@ from .synthesis import (
 )
 from .verify import SUITES, run_suite
 from .vsh import analyze
-from .wavefunction import norm, transverse_residual
 
 TOP_LEVEL_KEYS = {"grid", "mode", "lattice", "outputs", "tolerances", "seed", "suite"}
 OUTPUT_KEYS = {"kind", "path", "l_max"}
@@ -318,18 +317,21 @@ def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: di
         raise ConfigError(str(err)) from None
     except (ValueError, FloatingPointError) as err:
         raise NumericalError(f"mode construction failed: {err}") from None
+    # one set of moments serves the Nyquist guard, the gates and the report
+    moments = FrameMoments(v)
     n_phi = grid_spec.n_phi
     if n_phi % 2 == 0 and any(
-            (bins == -(n_phi // 2)).any() for bins in azimuthal_support(v).values()):
+            (bins == -(n_phi // 2)).any() for bins in _support(moments, 1e-12).values()):
         raise NumericalError(
             f"mode has azimuthal content at the Nyquist bin of n_phi = {n_phi}, "
             "so its azimuthal orders alias; raise n_phi"
         )
-    _gate(tolerances, "mode_norm", "mode norm deviation", abs(norm(v) - 1.0))
+    _gate(tolerances, "mode_norm", "mode norm deviation",
+          abs(float(np.sqrt(moments.totals.sum())) - 1.0))
     if "transversality" in tolerances:
         _gate(tolerances, "transversality", "transversality residual",
-              transverse_residual(v))
-    return v
+              moments.transverse_residual)
+    return v, moments
 
 
 def cmd_mode(cfg: dict) -> int:
@@ -342,8 +344,8 @@ def cmd_mode(cfg: dict) -> int:
     for entry in outputs:
         if entry["kind"] == "expansion":
             entry["l_max"] = _expansion_l_max(grid_spec, entry)
-    v = _build_checked_mode(grid_spec, mode_spec, tolerances)
-    report = observable_report(v)
+    v, moments = _build_checked_mode(grid_spec, mode_spec, tolerances)
+    report = _report(moments)
     _gate(tolerances, "j3_eigen_residual", "J3 eigen-residual",
           report.eigen_residuals["J3"])
     digest = config_hash(cfg)
@@ -397,7 +399,7 @@ def cmd_synth(cfg: dict) -> int:
     outputs = parse_outputs(cfg, {"fields"}, "synth")
     if not outputs:
         raise ConfigError("synth requires a non-empty 'outputs' list")
-    v = _build_checked_mode(grid_spec, mode_spec, tolerances)
+    v, _ = _build_checked_mode(grid_spec, mode_spec, tolerances)
     try:
         snapshot = synthesize_fields(v, lattice, time=lattice.times[0])
         if "com_convergence_shift" in tolerances:

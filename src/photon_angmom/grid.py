@@ -120,6 +120,10 @@ class WaveVectorGrid:
         Unit directions.
     weights : ndarray, shape (n_nodes,)
         Full measure weights, sum(weights * f) ~ int d^3k f.
+
+    These node arrays are formed on first read and then kept; the
+    moments of a factored state need only the per-axis nodes and weights
+    below, so a grid read only through them never forms the node arrays.
     x_nodes, x_weights : ndarray, shape (n_theta,)
         The polar Gauss-Legendre rule in x = cos(theta).
     theta_nodes, phi_nodes : ndarray
@@ -134,6 +138,8 @@ class WaveVectorGrid:
     _helicity_rows : dict
         Order m -> the read-only VSH helicity rows of the analysis, shape
         (2, l_max+1, n_theta); empty until a transform runs.
+    _factor_weights : dict
+        Split -> the weights as a factor pair (`wavefunction._factor_weights`).
     """
 
     def __init__(self, spec: GridSpec):
@@ -152,28 +158,52 @@ class WaveVectorGrid:
         phi_w = 2.0 * np.pi / spec.n_phi
         self.angular_weights = np.repeat(wt, spec.n_phi) * phi_w
 
-        K, TH, PH = np.meshgrid(
-            self.k_nodes, self.theta_nodes, self.phi_nodes, indexing="ij"
-        )
-        self.k = K.ravel()
-        self.theta = TH.ravel()
-        self.phi = PH.ravel()
-        W = (
-            self.radial_weights[:, None, None]
-            * wt[None, :, None]
-            * np.full(spec.n_phi, phi_w)[None, None, :]
-        )
-        self.weights = W.ravel()
-
-        st = np.sin(self.theta)
-        self.khat = np.stack(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)],
-            axis=1,
-        )
-        self.kvec = self.k[:, None] * self.khat
-        self.n_nodes = self.k.size
+        self.n_nodes = spec.n_k * spec.n_theta * spec.n_phi
         self.shape = (spec.n_k, spec.n_theta, spec.n_phi)
         self._helicity_rows = {}
+        self._factor_weights = {}
+
+    def _nodes(self, axis_nodes):
+        # one axis' nodes broadcast over the whole grid, flat in node order
+        return np.broadcast_to(axis_nodes, self.shape).ravel()
+
+    @cached_property
+    def k(self):
+        return self._nodes(self.k_nodes[:, None, None])
+
+    @cached_property
+    def theta(self):
+        return self._nodes(self.theta_nodes[:, None])
+
+    @cached_property
+    def phi(self):
+        return self._nodes(self.phi_nodes)
+
+    @cached_property
+    def weights(self):
+        phi_w = 2.0 * np.pi / self.spec.n_phi
+        W = (
+            self.radial_weights[:, None, None]
+            * self.x_weights[None, :, None]
+            * np.full(self.spec.n_phi, phi_w)[None, None, :]
+        )
+        return W.ravel()
+
+    @cached_property
+    def _shell_khat(self):
+        """khat on the angular nodes (one radial shell), shape (n_theta * n_phi, 3)."""
+        theta = np.repeat(self.theta_nodes, self.spec.n_phi)
+        phi = np.tile(self.phi_nodes, self.spec.n_theta)
+        st = np.sin(theta)
+        return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
+
+    @cached_property
+    def khat(self):
+        return np.tile(self._shell_khat, (self.spec.n_k, 1))
+
+    @cached_property
+    def kvec(self):
+        return self.k[:, None] * self.khat
 
     @cached_property
     def frame(self):
@@ -184,8 +214,7 @@ class WaveVectorGrid:
         first radial shell; broadcast over k its first two rows equal
         polarization.helicity_basis(khat) node by node, bit for bit.
         """
-        n_ang = self.spec.n_theta * self.spec.n_phi
-        khat = self.khat[:n_ang]
+        khat = self._shell_khat
         rows = np.stack(helicity_basis(khat) + (khat,))
         return rows.reshape((3,) + self.shape[1:] + (3,))
 

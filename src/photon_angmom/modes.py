@@ -2,11 +2,12 @@
 concentrated about a direction, and paraxial vector Laguerre-Gauss modes.
 
 All builders sample closed-form amplitudes on a WaveVectorGrid and return
-normalized states; nothing here differentiates or iterates.  A state
-holds its rows (c_+, c_-, c_0) in the grid's local frame (eps_+, eps_-,
-khat) (`WaveFunction.c`), and every builder writes those rows directly:
-no Cartesian sample is formed or converted, and each state is normalized
-from its factors (see below), with no pass over the full grid.
+normalized states; nothing here differentiates or iterates.  A state's
+rows (c_+, c_-, c_0) are in the grid's local frame (eps_+, eps_-, khat),
+and every builder hands over those rows as the factor pairs it
+evaluates (`WaveFunction.factors`, see below): no Cartesian sample is
+formed or converted, each state is normalized from its factors, and no
+row of the full grid is written until something reads `WaveFunction.c`.
 
 J3-W eigenstates:   v(k) = a(k, theta) e^{i (m - w) phi} eps^(w)(khat)
 with a = radial Gaussian times a theta profile, that is the one row
@@ -61,11 +62,12 @@ evaluated once per angular node (the carrier in the grid's frame,
 The quadrature weights factor by axis as well (radial times polar times
 2 pi / n_phi), so ||v||^2 is a sum over rows of products of two factor
 sums, on n_k * n_theta and n_phi nodes or on n_k and n_theta * n_phi
-(`_helicity_state`).  1/||v|| is folded into the smaller factor, and one
-broadcast product writes each row into the state.  The rows therefore
-differ from the node-by-node product normalized by the full-grid `norm`
-by a few ulp (at most 4 in the tests), and the norm of a built state
-reads 1 to within 1e-15.
+(`_helicity_state`, through `wavefunction._totals`).  1/||v|| is folded
+into the smaller factor, and the state keeps the pairs; its rows, when
+read, are one broadcast product per row.  They differ from the
+node-by-node product normalized by the full-grid sum by a few ulp (at
+most 4 in the tests), and the norm of a built state reads 1 to within
+1e-15.
 
 Each builder carries a finite set of azimuthal orders and refuses a grid
 whose n_phi cannot resolve them, since an FFT over n_phi nodes would fold
@@ -88,7 +90,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from .config import Profile, Spec, Vec3, coerce_fields, string
 from .grid import WaveVectorGrid
 from .polarization import eps_plus
-from .wavefunction import WaveFunction, _power
+from .wavefunction import WaveFunction, _power, _totals
 
 __all__ = [
     "EmptyProfileError",
@@ -316,25 +318,22 @@ def _helicity_state(grid: WaveVectorGrid, w: int, split: int, *rows) -> WaveFunc
     (k, theta, phi), b on the rest, both broadcasting to grid.shape.  The
     weights factor by axis too, so ||v||^2 is the sum over rows of
     (sum w_a |a|^2)(sum w_b |b|^2), each on the nodes of its factor's own
-    axes; 1/||v|| is folded into the smaller factor, and one product
-    writes each row.
+    axes; 1/||v|| is folded into the smaller factor, and the state holds
+    the pairs stacked by row (`WaveFunction.factors`).
     """
-    n_phi = grid.spec.n_phi
-    radial, polar = grid.radial_weights[:, None, None], grid.x_weights[:, None]
-    azimuthal = np.full(n_phi, 2.0 * np.pi / n_phi)
-    wa, wb = (radial, polar * azimuthal) if split == 1 else (radial * polar, azimuthal)
-    n = float(np.sqrt(sum(np.sum(wa * _power(a)) * np.sum(wb * _power(b)) for a, b in rows)))
+    # the factors on their own axes, stacked by row; a row not given is 0 0
+    F = np.zeros((3,) + grid.shape[:split] + (1,) * (3 - split), dtype=complex)
+    G = np.zeros((3,) + (1,) * split + grid.shape[split:], dtype=complex)
+    for a, (f, g) in zip((0, 1, 2) if w == 1 else (1, 0, 2), rows):
+        F[a], G[a] = f, g
+    n = float(np.sqrt(_totals(grid, split, (_power(F), _power(G))).sum()))
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
-    c = np.empty((3,) + grid.shape, dtype=complex)
-    order = (0, 1, 2) if w == 1 else (1, 0, 2)
-    for a in order[len(rows):]:
-        c[a] = 0.0
-    for a, (f, g) in zip(order, rows):
-        if np.size(f) > np.size(g):
-            f, g = g, f
-        np.multiply(f * (1.0 / n), g, out=c[a])
-    return WaveFunction.from_frame(grid, c)
+    if F[0].size > G[0].size:
+        G *= 1.0 / n
+    else:
+        F *= 1.0 / n
+    return WaveFunction._from_factors(grid, split, F, G)
 
 
 def build_j3_w_eigenstate(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
@@ -427,7 +426,7 @@ def build_sam_wavepacket(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     s = s / np.linalg.norm(s)
     # the kernel on the angular nodes (the first shell), the Gaussian on
     # the radial ones
-    khat = grid.khat[:grid.spec.n_theta * grid.spec.n_phi]
+    khat = grid._shell_khat
     kernel = np.exp(spec.kappa * (khat @ (spec.w * s) - 1.0)).reshape(grid.shape[1:])
     k, _, _ = _factor_axes(grid)
     g = _radial_gaussian(k, spec.radial_profile["k0"], spec.radial_profile["sigma_k"])

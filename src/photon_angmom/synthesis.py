@@ -293,7 +293,8 @@ def _pair_rows(v: WaveFunction, time: float) -> np.ndarray:
     half = (n_theta + 1) // 2
     n_h = n_phi // 2 if n_phi % 2 == 0 else n_phi
     # W / (2 pi sqrt(omega)) e^{-i omega t} per ring: the phi rule is uniform
-    scale = grid.weights.reshape(grid.shape)[..., 0] / (2.0 * np.pi * np.sqrt(grid.k_nodes))[:, None]
+    ring_weights = grid.radial_weights[:, None] * grid.x_weights * (2.0 * np.pi / n_phi)
+    scale = ring_weights / (2.0 * np.pi * np.sqrt(grid.k_nodes))[:, None]
     scale = scale * np.exp(-1j * grid.k_nodes * time)[:, None]
     mirror = scale[:, ::-1][:, :half].copy()
     if n_theta % 2:
@@ -351,7 +352,8 @@ def synthesize_fields(v: WaveFunction, lattice: SpaceTimeLattice,
     workers = min(parallel.WORKERS, _MAX_WORKERS)
     rows = _pair_rows(v, time)
     n_pairs, n_h = len(rows), rows.shape[-1]
-    kvec = grid.kvec.reshape(n_k, n_theta, n_phi, 3)[:, :half]   # the lower ring serves both
+    # the lower ring serves both
+    kvec = grid.k_nodes[:, None, None, None] * grid._shell_khat.reshape(n_theta, n_phi, 3)[:half]
     kx = kvec[:, :, :n_h, 0].reshape(n_pairs, n_h)
     ky = kvec[:, :, :n_h, 1].reshape(n_pairs, n_h)
     kz = kvec[:, :, 0, 2].reshape(n_pairs, 1)

@@ -15,8 +15,9 @@ dropped.
 
 The identity suites apply the operators; the programs that only need a
 mean or a dispersion (`paraxial_suite`, `sam_convergence`,
-`never_eigenstate`) read it off `operators.FrameMoments`, the density and
-Parseval kernel of `observable_report`, with no operator applied.
+`never_eigenstate`) read it off `operators.FrameMoments`, the factor-sum
+and Parseval kernel of `observable_report`, with no operator applied and
+no row of a built mode formed.
 
 Suites are deterministic: random states derive from explicit seeds, and
 all grid and lattice parameters are frozen here.  Every program takes an
@@ -262,12 +263,12 @@ def paraxial_suite(seed: int = 0):
     """Vector LG eigenstructure, paraxial convergence orders, scalar norms.
 
     Deterministic; `seed` is accepted for the uniform suite signature.
-    Each mode is built once and read once in the local frame
-    (`FrameMoments`), from one pass over |c_a|^2: the W residual about the
+    Each mode is built once and read once from its frame-row factors
+    (`FrameMoments`), without forming its rows: the W residual about the
     label w is sqrt(sum_a (h_a - w)^2 <c_a, c_a>), and transversality is
     the largest longitudinal part |c_0| over the largest node amplitude.
     On the first w0 of the sweep the J3 mean and dispersion are Parseval
-    sums over one phi-FFT.
+    sums over one phi-FFT of the phase factors.
     """
     grid = build_grid(GridSpec(n_k=8, k_min=0.87, k_max=1.13, n_theta=512, n_phi=12))
 
@@ -413,8 +414,8 @@ def sam_convergence(seed: int = 0):
     """<S> -> s at empirical order 1/kappa; <W> pinned at the largest kappa.
 
     Deterministic; `seed` is accepted for the uniform suite signature.
-    <S> and <W> are read off the helicity density rho_+ - rho_- of each
-    packet's frame rows (`FrameMoments`).
+    <S> and <W> are read off each packet's frame-row factors
+    (`FrameMoments`): the radial profile times the angular kernel.
     """
     kappas = (50.0, 100.0, 200.0, 400.0)
     grid = build_grid(GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=512, n_phi=16))

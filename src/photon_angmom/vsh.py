@@ -43,9 +43,11 @@ of a coarse azimuthal grid still add, divides out the quadrature weight,
 and an inverse FFT gives the rows of the state, with c_0 = 0: transverse
 by construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
-bandlimited content.  `observable_report` holds the FFT of all three
-frame rows already and hands it to the same contraction
-(`_analyze_spectrum`), so there is one analysis path.
+bandlimited content.  `observable_report` holds the FFT of a state's
+frame rows already, as the factor pair of `FrameMoments.spectrum`, and
+hands it to the same contraction (`_analyze_spectrum`), which reads each
+bin as the product of the factors at that bin; so there is one analysis
+path.
 
 The weighted rows depend only on the grid and on m, so the grid keeps
 them (`_grid_rows`): per order, read-only, for its lifetime, built by
@@ -311,11 +313,25 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     on coarse azimuthal grids).  Longitudinal content of v is ignored.
     """
     spectrum = np.fft.fft(v.c[:2], axis=-1)
-    return _analyze_spectrum(v.grid, spectrum, l_max, m_window)
+    return _analyze_spectrum(v.grid, (spectrum,), l_max, m_window)
+
+
+def _slabs(factors, bins):
+    """Bins (m - 1, m + 1) of rows (c_+, c_-) of a phi-FFT held as the
+    product of `factors`, row arrays of shape (rows, ...) broadcasting to
+    (rows, n_k, n_theta, n_phi): the (2, n_k, n_theta) slabs, each factor
+    read at its bin (at 0 where its phi axis is a single node)."""
+    out = None
+    for x in factors:
+        x = x[[0, 1], ..., bins] if x.shape[-1] > 1 else x[:2, ..., 0]
+        out = x if out is None else out * x
+    return out
 
 
 def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> VshExpansion:
-    """`analyze` from the phi-FFT of the frame rows of v,
+    """`analyze` from the phi-FFT of the frame rows of v, held as the
+    product of the row arrays in the sequence `spectrum` (one array, or a
+    factor pair such as `FrameMoments.spectrum`): their product is
     spectrum[a, k, theta, mu] = sum_phi e^{-i mu phi} c_a; only the rows
     c_plus and c_minus are read."""
     spec = grid.spec
@@ -343,8 +359,8 @@ def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> V
     # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
     p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
     for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, l_max, ms))):
-        picked = spectrum[[0, 1], :, :, [(m - 1) % n_phi, (m + 1) % n_phi]]
-        p[..., i] = picked @ rows.transpose(0, 2, 1)
+        picked = _slabs(spectrum, [(m - 1) % n_phi, (m + 1) % n_phi])
+        p[..., i] = np.broadcast_to(picked, (2, n_k, n_theta)) @ rows.transpose(0, 2, 1)
     # with the -i of H_- conjugated into p_- = i p[1]:
     # a1 = p_+ + p_-, a2 = i (p_+ - p_-)
     coeffs = np.stack([p[0] + 1j * p[1], 1j * p[0] + p[1]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_angmom
-from photon_angmom import cli, parallel, synthesis, verify
+from photon_angmom import cli, operators, parallel, synthesis, verify
 from photon_angmom.cli import main
 
 
@@ -151,6 +151,7 @@ def test_nyquist_content_is_numerical_error(tmp_path, capsys):
     assert main(["mode", "--config", str(cfg), "--mode.m=9", "--grid.n_phi=24"]) == 0
 
 
+README_LG_GRID = {"n_k": 8, "k_min": 0.94, "k_max": 1.06, "n_theta": 256, "n_phi": 12}
 README_LG_MODE = {"kind": "vector_lg", "m": 2, "w": -1, "p": 1, "w0": 25.0, "k_fixed": 1.0}
 SAM_MODE = {"kind": "sam_wavepacket", "w": 1, "s_direction": [0, 0, 1], "kappa": 20.0,
             "radial_profile": {"k0": 1.0, "sigma_k": 0.2}}
@@ -304,13 +305,33 @@ def test_output_kind_validation(tmp_path, capsys):
 
 
 def test_tolerance_gate_maps_to_exit_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, tolerances={"j3_eigen_residual": 1e-30})
+    # the paraxial LG mode carries a longitudinal part of order 1 / (w0 k),
+    # so a transversality tolerance far below it fails its gate
+    cfg = write_config(tmp_path, grid=README_LG_GRID, mode=README_LG_MODE,
+                       tolerances={"transversality": 1e-6})
     assert main(["mode", "--config", str(cfg)]) == 3
-    assert "J3" in capsys.readouterr().err
+    assert "'transversality'" in capsys.readouterr().err
 
     ok = write_config(tmp_path, tolerances={"j3_eigen_residual": 1e-10,
                                             "transversality": 1e-10})
     assert main(["mode", "--config", str(ok)]) == 0
+
+
+def test_mode_run_reads_one_set_of_moments(tmp_path, monkeypatch):
+    # the Nyquist guard, the norm and transversality gates and the report
+    # all read the moments of one FrameMoments
+    count = [0]
+    init = operators.FrameMoments.__init__
+
+    def counted(self, v):
+        count[0] += 1
+        init(self, v)
+    monkeypatch.setattr(operators.FrameMoments, "__init__", counted)
+    cfg = write_config(tmp_path, grid=README_LG_GRID, mode=README_LG_MODE,
+                       tolerances={"transversality": 1.0, "j3_eigen_residual": 1e-9},
+                       outputs=[{"kind": "report", "path": str(tmp_path / "report.json")}])
+    assert main(["mode", "--config", str(cfg)]) == 0
+    assert count == [1]
 
 
 @pytest.mark.parametrize(

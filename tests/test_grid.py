@@ -45,6 +45,22 @@ def test_spec_constructor_shares_the_config_checks():
         GridSpec(n_k=8, k_min=0.5, k_max=float("inf"), n_theta=6, n_phi=12)
 
 
+def test_node_arrays_match_meshgrid_bit_for_bit(grid):
+    # the node arrays are formed on first read from the per-axis nodes
+    K, TH, PH = np.meshgrid(grid.k_nodes, grid.theta_nodes, grid.phi_nodes, indexing="ij")
+    k, theta, phi = K.ravel(), TH.ravel(), PH.ravel()
+    weights = (grid.radial_weights[:, None, None] * grid.x_weights[None, :, None]
+               * np.full(grid.spec.n_phi, 2.0 * np.pi / grid.spec.n_phi)[None, None, :])
+    st = np.sin(theta)
+    khat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
+    want = {"k": k, "theta": theta, "phi": phi, "weights": weights.ravel(),
+            "khat": khat, "kvec": k[:, None] * khat}
+    for name, value in want.items():
+        got = getattr(grid, name)
+        assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+        assert getattr(grid, name) is got, name
+
+
 def test_node_order(grid):
     # radial-major order: index = (ik*n_theta + ith)*n_phi + iph
     spec = grid.spec

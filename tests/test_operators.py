@@ -401,13 +401,19 @@ def _counted(calls, name, fn):
 
 
 def test_observable_report_takes_one_fft_and_no_operator(grid, monkeypatch):
-    calls = {"fft": 0, "ifft": 0, "_multiply": 0}
-    monkeypatch.setattr(np.fft, "fft", _counted(calls, "fft", np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", _counted(calls, "ifft", np.fft.ifft))
-    monkeypatch.setattr(operators, "_multiply",
-                        _counted(calls, "_multiply", operators._multiply))
-    observable_report(random_state(grid, seed=14))
-    assert calls == {"fft": 1, "ifft": 0, "_multiply": 0}
+    # on an unfactored state and on a product state, whose one FFT is of
+    # the factor that owns phi
+    factored = build_mode(ModeSpec(kind="sam_wavepacket", w=1, kappa=6.0,
+                                   s_direction=(0.2, 0.1, 1.0)), grid)
+    for v in (random_state(grid, seed=14), _readme_lg(), factored):
+        calls = {"fft": 0, "ifft": 0, "_multiply": 0}
+        monkeypatch.setattr(np.fft, "fft", _counted(calls, "fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", _counted(calls, "ifft", np.fft.ifft))
+        monkeypatch.setattr(operators, "_multiply",
+                            _counted(calls, "_multiply", operators._multiply))
+        observable_report(v)
+        assert calls == {"fft": 1, "ifft": 0, "_multiply": 0}
+        monkeypatch.undo()
 
 
 def test_frame_born_state_forms_no_cartesian_samples(grid, monkeypatch):

@@ -156,7 +156,7 @@ def _counted(calls, name, fn):
 @pytest.mark.parametrize("program", ["paraxial_suite", "sam_convergence", "never_eigenstate"])
 def test_frame_programs_apply_no_operator(program, monkeypatch):
     calls = dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_multiply",
-                           "ifft", "values", "_frame_rows", "build_mode"], 0)
+                           "ifft", "values", "_frame_rows", "_product_rows", "build_mode"], 0)
     for name in ("apply_W", "apply_S", "apply_J3_azimuthal"):
         wrapped = _counted(calls, name, getattr(operators, name))
         monkeypatch.setattr(operators, name, wrapped)
@@ -168,14 +168,17 @@ def test_frame_programs_apply_no_operator(program, monkeypatch):
                         property(_counted(calls, "values", WaveFunction.values.fget)))
     monkeypatch.setattr(wavefunction, "_frame_rows",
                         _counted(calls, "_frame_rows", wavefunction._frame_rows))
+    monkeypatch.setattr(wavefunction, "_product_rows",
+                        _counted(calls, "_product_rows", wavefunction._product_rows))
     monkeypatch.setattr(verify, "build_mode", _counted(calls, "build_mode", verify.build_mode))
 
     rows = getattr(verify, program)()
     assert all(row["pass"] for row in rows)
     assert calls.pop("build_mode") > 0
-    # every mode, vector LG included, is born in the frame: no conversion
+    # every mode, vector LG included, is born in the frame as factor pairs:
+    # no conversion, and its rows c are never formed
     assert calls == dict.fromkeys(["apply_W", "apply_S", "apply_J3_azimuthal", "_multiply",
-                                   "ifft", "values", "_frame_rows"], 0)
+                                   "ifft", "values", "_frame_rows", "_product_rows"], 0)
 
 
 def _poison_build(monkeypatch, which):
