@@ -13,7 +13,9 @@ lists of numbers (s_direction, origin, extents, times) finite entries,
 three for a vector; strings (kind, carrier) a string; profiles an object
 whose "kind" is a string and whose other entries are finite numbers.  A
 bool, a string where a number belongs, NaN or +-inf, a wrong length and a
-key no field reads are configuration errors.
+key no field reads are configuration errors.  Each command reads its own
+top-level keys and tolerances (`COMMAND_KEYS`); any other key is one too,
+even one that another command reads.  `seed` is accepted by all three.
 
 Exit codes: 0 success, 1 failed verification rows, 2 configuration error
 (the diagnostic names the offending key), 3 numerical failure (aliasing,
@@ -31,7 +33,8 @@ when the measured value is <= tol, so a NaN value fails it:
                           (default 1e-10)
     transversality        require transverse_residual(v) <= tol (off by
                           default; paraxial modes carry real residual)
-    j3_eigen_residual     require report.eigen_residuals["J3"] <= tol
+    j3_eigen_residual     require the J3 dispersion of the built mode, the
+                          report's eigen_residuals["J3"], to be <= tol
     com_convergence_shift synth only: relative shift of the real-space
                           constants of motion under box growth must stay
                           within tol
@@ -50,7 +53,7 @@ from . import __version__
 from .config import finite_real, strict_int, string
 from .grid import GridSpec, build_grid
 from .modes import EmptyProfileError, ModeSpec, build_mode
-from .operators import FrameMoments, _report, _support
+from .operators import azimuthal_support, observable_report
 from .synthesis import (
     SpaceTimeLattice,
     com_convergence_shift,
@@ -60,12 +63,18 @@ from .synthesis import (
 )
 from .verify import SUITES, run_suite
 from .vsh import analyze
+from .wavefunction import norm, transverse_residual
 
-TOP_LEVEL_KEYS = {"grid", "mode", "lattice", "outputs", "tolerances", "seed", "suite"}
+# per command: the top-level keys it reads, and the tolerances among them
+_MODE_TOLERANCES = {"mode_norm", "transversality", "j3_eigen_residual"}
+COMMAND_KEYS = {
+    "mode": ({"grid", "mode", "outputs", "tolerances", "seed"}, _MODE_TOLERANCES),
+    "synth": ({"grid", "mode", "lattice", "outputs", "tolerances", "seed"},
+              _MODE_TOLERANCES | {"com_convergence_shift"}),
+    "verify": ({"suite", "outputs", "seed"}, set()),
+}
 OUTPUT_KEYS = {"kind", "path", "l_max"}
 OUTPUT_KINDS = {"report", "wavefunction", "expansion", "fields"}
-TOLERANCE_KEYS = {"mode_norm", "transversality", "j3_eigen_residual",
-                  "com_convergence_shift"}
 DEFAULT_TOLERANCES = {"mode_norm": 1e-10}
 DEFAULT_EXPANSION_L_MAX = 16
 
@@ -133,10 +142,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
-def _check_keys(d: dict, allowed: set, where: str) -> None:
+def _check_keys(d: dict, allowed: set, where: str, command: str) -> None:
     for key in d:
         if key not in allowed:
-            raise ConfigError(f"unknown {where} key {key!r}")
+            raise ConfigError(f"{where} key {key!r} is not read by the {command} command")
 
 
 def _require(cfg: dict, key: str) -> dict:
@@ -165,7 +174,7 @@ def parse_outputs(cfg: dict, valid_kinds: set, command: str) -> list:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError("outputs entries must be objects with 'kind' and 'path'")
-        _check_keys(entry, OUTPUT_KEYS, "output")
+        _check_keys(entry, OUTPUT_KEYS, "output", command)
         for needed in ("kind", "path"):
             if needed not in entry:
                 raise ConfigError(f"output entry missing key {needed!r}")
@@ -186,12 +195,12 @@ def parse_outputs(cfg: dict, valid_kinds: set, command: str) -> list:
     return outputs
 
 
-def parse_tolerances(cfg: dict) -> dict:
+def parse_tolerances(cfg: dict, command: str) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
     section = cfg.get("tolerances", {})
     if not isinstance(section, dict):
         raise ConfigError("config key 'tolerances' must be an object")
-    _check_keys(section, TOLERANCE_KEYS, "tolerance")
+    _check_keys(section, COMMAND_KEYS[command][1], "tolerance", command)
     try:
         tol.update({key: finite_real(value, key) for key, value in section.items()})
     except ValueError as err:
@@ -317,26 +326,23 @@ def _build_checked_mode(grid_spec: GridSpec, mode_spec: ModeSpec, tolerances: di
         raise ConfigError(str(err)) from None
     except (ValueError, FloatingPointError) as err:
         raise NumericalError(f"mode construction failed: {err}") from None
-    # one set of moments serves the Nyquist guard, the gates and the report
-    moments = FrameMoments(v)
+    # the guard, the gates and the report all read the moments the state keeps
     n_phi = grid_spec.n_phi
     if n_phi % 2 == 0 and any(
-            (bins == -(n_phi // 2)).any() for bins in _support(moments, 1e-12).values()):
+            (bins == -(n_phi // 2)).any() for bins in azimuthal_support(v).values()):
         raise NumericalError(
             f"mode has azimuthal content at the Nyquist bin of n_phi = {n_phi}, "
             "so its azimuthal orders alias; raise n_phi"
         )
-    _gate(tolerances, "mode_norm", "mode norm deviation",
-          abs(float(np.sqrt(moments.totals.sum())) - 1.0))
-    if "transversality" in tolerances:
-        _gate(tolerances, "transversality", "transversality residual",
-              moments.transverse_residual)
-    return v, moments
+    _gate(tolerances, "mode_norm", "mode norm deviation", abs(norm(v) - 1.0))
+    _gate(tolerances, "transversality", "transversality residual", transverse_residual(v))
+    _gate(tolerances, "j3_eigen_residual", "J3 eigen-residual", v.moments.j3_dispersion)
+    return v
 
 
 def cmd_mode(cfg: dict) -> int:
-    _check_keys(cfg, TOP_LEVEL_KEYS, "config")
-    tolerances = parse_tolerances(cfg)
+    _check_keys(cfg, COMMAND_KEYS["mode"][0], "config", "mode")
+    tolerances = parse_tolerances(cfg, "mode")
     parse_seed(cfg)
     grid_spec = _parse_section(cfg, "grid", GridSpec)
     mode_spec = _parse_section(cfg, "mode", ModeSpec)
@@ -344,10 +350,8 @@ def cmd_mode(cfg: dict) -> int:
     for entry in outputs:
         if entry["kind"] == "expansion":
             entry["l_max"] = _expansion_l_max(grid_spec, entry)
-    v, moments = _build_checked_mode(grid_spec, mode_spec, tolerances)
-    report = _report(moments)
-    _gate(tolerances, "j3_eigen_residual", "J3 eigen-residual",
-          report.eigen_residuals["J3"])
+    v = _build_checked_mode(grid_spec, mode_spec, tolerances)
+    report = observable_report(v)
     digest = config_hash(cfg)
     if not outputs:
         sys.stdout.write(report_json(report))
@@ -365,7 +369,7 @@ def cmd_mode(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    _check_keys(cfg, TOP_LEVEL_KEYS, "config")
+    _check_keys(cfg, COMMAND_KEYS["verify"][0], "config", "verify")
     if "suite" not in cfg:
         raise ConfigError("config missing key 'suite'")
     suite = cfg["suite"]
@@ -385,8 +389,8 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_synth(cfg: dict) -> int:
-    _check_keys(cfg, TOP_LEVEL_KEYS, "config")
-    tolerances = parse_tolerances(cfg)
+    _check_keys(cfg, COMMAND_KEYS["synth"][0], "config", "synth")
+    tolerances = parse_tolerances(cfg, "synth")
     parse_seed(cfg)
     grid_spec = _parse_section(cfg, "grid", GridSpec)
     mode_spec = _parse_section(cfg, "mode", ModeSpec)
@@ -399,7 +403,7 @@ def cmd_synth(cfg: dict) -> int:
     outputs = parse_outputs(cfg, {"fields"}, "synth")
     if not outputs:
         raise ConfigError("synth requires a non-empty 'outputs' list")
-    v, _ = _build_checked_mode(grid_spec, mode_spec, tolerances)
+    v = _build_checked_mode(grid_spec, mode_spec, tolerances)
     try:
         snapshot = synthesize_fields(v, lattice, time=lattice.times[0])
         if "com_convergence_shift" in tolerances:

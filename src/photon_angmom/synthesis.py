@@ -453,10 +453,10 @@ def real_space_com(snapshot: FieldSnapshot) -> dict:
     return {"P0": p0, "P": P, "L": L, "S": S, "J": L + S}
 
 
-def k_space_com(v: WaveFunction, l_max: int | None = None) -> dict:
+def k_space_com(v: WaveFunction) -> dict:
     """The same functionals from v(k): densities for P, operators for J, L, S."""
     n2 = norm(v) ** 2
-    rep = observable_report(v * (1.0 / np.sqrt(n2)), l_max=l_max)
+    rep = observable_report(v * (1.0 / np.sqrt(n2)))
     return {
         "P0": rep.energy * n2,
         "P": rep.momentum * n2,

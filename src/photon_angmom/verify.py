@@ -15,9 +15,10 @@ dropped.
 
 The identity suites apply the operators; the programs that only need a
 mean or a dispersion (`paraxial_suite`, `sam_convergence`,
-`never_eigenstate`) read it off `operators.FrameMoments`, the factor-sum
-and Parseval kernel of `observable_report`, with no operator applied and
-no row of a built mode formed.
+`never_eigenstate`) read it off the state's moments
+(`WaveFunction.moments`, a `wavefunction.FrameMoments`), the factor-sum
+and Parseval kernel that `observable_report` reads too, with no operator
+applied and no row of a built mode formed.
 
 Suites are deterministic: random states derive from explicit seeds, and
 all grid and lattice parameters are frozen here.  Every program takes an
@@ -36,7 +37,6 @@ from numpy.polynomial.legendre import leggauss
 from .grid import GridSpec, build_grid
 from .modes import ModeSpec, build_mode, scalar_lg, theta_distribution
 from .operators import (
-    FrameMoments,
     apply_J,
     apply_J3_azimuthal,
     apply_J_squared,
@@ -264,7 +264,7 @@ def paraxial_suite(seed: int = 0):
 
     Deterministic; `seed` is accepted for the uniform suite signature.
     Each mode is built once and read once from its frame-row factors
-    (`FrameMoments`), without forming its rows: the W residual about the
+    (`WaveFunction.moments`), without forming its rows: the W residual about the
     label w is sqrt(sum_a (h_a - w)^2 <c_a, c_a>), and transversality is
     the largest longitudinal part |c_0| over the largest node amplitude.
     On the first w0 of the sweep the J3 mean and dispersion are Parseval
@@ -280,13 +280,12 @@ def paraxial_suite(seed: int = 0):
         rw = 0.0
         rt = 0.0
         for spec, v in _lg_matrix(grid, w0=w0):
-            moments = FrameMoments(v)
+            moments = v.moments
             if w0 == _LG_SWEEP[0]:
                 r_j3_eig = _worst(r_j3_eig, abs(moments.j3 - spec.m))
                 r_j3_disp = _worst(r_j3_disp, moments.j3_dispersion)
             rw = _worst(rw, moments.w_dispersion(spec.w))
             rt = _worst(rt, moments.transverse_residual)
-            del moments  # hold no frame arrays across the next build
         w_res.append(rw)
         t_res.append(rt)
     lx = np.log(np.array(_LG_SWEEP))
@@ -415,7 +414,7 @@ def sam_convergence(seed: int = 0):
 
     Deterministic; `seed` is accepted for the uniform suite signature.
     <S> and <W> are read off each packet's frame-row factors
-    (`FrameMoments`): the radial profile times the angular kernel.
+    (`WaveFunction.moments`): the radial profile times the angular kernel.
     """
     kappas = (50.0, 100.0, 200.0, 400.0)
     grid = build_grid(GridSpec(n_k=10, k_min=0.5, k_max=1.5, n_theta=512, n_phi=16))
@@ -426,10 +425,9 @@ def sam_convergence(seed: int = 0):
             kind="sam_wavepacket", w=1, kappa=kappa, s_direction=(0.0, 0.0, 1.0),
             radial_profile={"k0": 1.0, "sigma_k": 0.1},
         )
-        moments = FrameMoments(build_mode(spec, grid))
+        moments = build_mode(spec, grid).moments
         errs.append(float(np.linalg.norm(moments.sam - s_hat)))
         helicity = moments.helicity
-        del moments  # hold no frame arrays across the next build
     w_dev = abs(helicity - 1.0)  # at the largest kappa
     slope = np.polyfit(np.log(kappas), np.log(errs), 1)[0]
     return [
@@ -447,7 +445,7 @@ def never_eigenstate(seed: int = 0):
 
     Deterministic; `seed` is accepted for the uniform suite signature.
     The dispersions are the report's S3 and L3 eigen-residuals, read off
-    each state's frame rows (`FrameMoments`).
+    each state's frame-row factors (`WaveFunction.moments`).
     """
     grid = build_grid(GridSpec(n_k=8, k_min=0.5, k_max=1.5, n_theta=48, n_phi=16))
     s3 = []
@@ -460,7 +458,7 @@ def never_eigenstate(seed: int = 0):
                     radial_profile={"k0": 1.0, "sigma_k": 0.1},
                     theta_profile=dict(prof),
                 )
-                moments = FrameMoments(build_mode(spec, grid))
+                moments = build_mode(spec, grid).moments
                 s3.append(moments.s3_dispersion)
                 l3.append(moments.l3_dispersion)
     # np.min, unlike builtin min, keeps a NaN, which then fails its row

@@ -32,9 +32,9 @@ x = cos(theta),
 
 so each helicity component of Y1_lm is one real row times one azimuthal
 harmonic, and khat x eps_h = -i h eps_h turns Y2_lm into the same rows.
-`analyze` takes one FFT in phi of the two components and, per order m,
-contracts FFT bin m - h of c_h against the row H_h weighted by the phi
-and polar quadrature, (2 pi / n_phi) w_theta: with p_+ and p_- these two
+`analyze` reads the state's own FFT in phi and, per order m, contracts
+FFT bin m - h of c_h against the row H_h weighted by the phi and polar
+quadrature, (2 pi / n_phi) w_theta: with p_+ and p_- these two
 contractions (the -i of H_- folded in), the coefficients are
 a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize` is the transpose:
 it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and (a2 - i a1) H_- into
@@ -43,10 +43,12 @@ of a coarse azimuthal grid still add, divides out the quadrature weight,
 and an inverse FFT gives the rows of the state, with c_0 = 0: transverse
 by construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
-bandlimited content.  `observable_report` holds the FFT of a state's
-frame rows already, as the factor pair of `FrameMoments.spectrum`, and
-hands it to the same contraction (`_analyze_spectrum`), which reads each
-bin as the product of the factors at that bin; so there is one analysis
+bandlimited content.  The FFT is the one every state keeps with its
+moments (`WaveFunction.moments`): the factor pair of
+`FrameMoments.spectrum`, of the factor that owns phi, read per bin as the
+product of the factors at that bin (`FrameMoments.slabs`).  So a state
+is transformed in phi once, whether the report, the J3 moments, the
+azimuthal support or `analyze` asks first, and there is one analysis
 path.
 
 The weighted rows depend only on the grid and on m, so the grid keeps
@@ -311,29 +313,9 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
     the caller is then responsible for the azimuthal content actually
     fitting the grid (the transform itself stays exact in that case even
     on coarse azimuthal grids).  Longitudinal content of v is ignored.
+    The phi-FFT read is the state's own (`FrameMoments.spectrum`).
     """
-    spectrum = np.fft.fft(v.c[:2], axis=-1)
-    return _analyze_spectrum(v.grid, (spectrum,), l_max, m_window)
-
-
-def _slabs(factors, bins):
-    """Bins (m - 1, m + 1) of rows (c_+, c_-) of a phi-FFT held as the
-    product of `factors`, row arrays of shape (rows, ...) broadcasting to
-    (rows, n_k, n_theta, n_phi): the (2, n_k, n_theta) slabs, each factor
-    read at its bin (at 0 where its phi axis is a single node)."""
-    out = None
-    for x in factors:
-        x = x[[0, 1], ..., bins] if x.shape[-1] > 1 else x[:2, ..., 0]
-        out = x if out is None else out * x
-    return out
-
-
-def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> VshExpansion:
-    """`analyze` from the phi-FFT of the frame rows of v, held as the
-    product of the row arrays in the sequence `spectrum` (one array, or a
-    factor pair such as `FrameMoments.spectrum`): their product is
-    spectrum[a, k, theta, mu] = sum_phi e^{-i mu phi} c_a; only the rows
-    c_plus and c_minus are read."""
+    grid = v.grid
     spec = grid.spec
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -355,11 +337,12 @@ def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> V
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
     n_k, n_theta, n_phi = grid.shape
+    moments = v.moments
     ms = np.arange(m_min, m_max + 1)
     # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
     p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
     for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, l_max, ms))):
-        picked = _slabs(spectrum, [(m - 1) % n_phi, (m + 1) % n_phi])
+        picked = moments.slabs([(m - 1) % n_phi, (m + 1) % n_phi])
         p[..., i] = np.broadcast_to(picked, (2, n_k, n_theta)) @ rows.transpose(0, 2, 1)
     # with the -i of H_- conjugated into p_- = i p[1]:
     # a1 = p_+ + p_-, a2 = i (p_+ - p_-)
@@ -367,12 +350,9 @@ def _analyze_spectrum(grid: WaveVectorGrid, spectrum, l_max: int, m_window) -> V
     return VshExpansion(grid, l_max, m_min, m_max, coeffs)
 
 
-def synthesize(e: VshExpansion, grid: WaveVectorGrid | None = None) -> WaveFunction:
+def synthesize(e: VshExpansion) -> WaveFunction:
     """Sum the expansion back to grid samples (transverse by construction)."""
-    if grid is None:
-        grid = e.grid
-    elif grid.spec != e.grid.spec:
-        raise ValueError("expansion was built on an incompatible grid")
+    grid = e.grid
     n_k, n_theta, n_phi = grid.shape
     # a shifted window (J+- of an expansion) may reach past |m| = l_max,
     # where every slot is structurally zero

@@ -28,12 +28,17 @@ of c_0, so both stay factored.
 
 The quadrature weights factor by axis as well, so a weighted sum of
 |c_a|^2 = |F_a|^2 |G_a|^2 is a product of two factor sums
-(`_factor_weights`, `_totals`; `operators.FrameMoments` applies any
-per-axis tables the same way); the node power sum_a |F_a|^2 |G_a|^2 is one product over the
-rows, and max |c_0| the product of its factors' largest (`_peaks`).
-`norm`, `transverse_residual`, `WaveFunction.peak_amplitude` and
-`operators.FrameMoments` all read these sums, with no array of the full
-grid unless a factor is one.
+(`_factor_weights`, `_totals`).  `FrameMoments` is the one kernel that
+reads a state's factor pairs: from one power per factor and per-axis
+tables it gives the row totals (so the norm), the peak node amplitude,
+the transversality residual and every mean and dispersion of the
+observable report, and from one phi-FFT of the factor that owns phi the
+J3 and L3 moments, the azimuthal support and the bins `vsh.analyze`
+reads.  A state never changes, so it keeps one set of moments
+(`WaveFunction.moments`), formed on first read: `norm`,
+`transverse_residual`, `WaveFunction.peak_amplitude`, the constructor's
+transversality check, the report and the VSH analysis all read it, with
+no array of the full grid unless a factor is one.
 
 The Cartesian samples v(k) are the boundary form.  Every state the
 package builds is written as its rows; only samples from outside it pass
@@ -51,6 +56,7 @@ import numpy as np
 from .grid import WaveVectorGrid
 
 __all__ = [
+    "FrameMoments",
     "WaveFunction",
     "inner_product",
     "norm",
@@ -72,6 +78,14 @@ def _read_only(a):
     view.flags.writeable = False
     return view
 
+
+# helicity h of the frame rows (eps_+, eps_-, khat)
+_H = np.array([1.0, -1.0, 0.0])
+
+# azimuthal content at most this fraction of the peak node amplitude is
+# empty (`FrameMoments.support`): the Nyquist guard and the report's
+# m-window read the same support
+_SUPPORT_REL_TOL = 1e-12
 
 # the second factor of an unfactored state, c = (c, 1)
 _UNIT = _read_only(np.ones((3, 1, 1, 1), dtype=complex))
@@ -110,18 +124,246 @@ def _totals(grid: WaveVectorGrid, split: int, powers) -> np.ndarray:
     return np.sum(wf * pf, axis=(1, 2, 3)) * np.sum(wg * pg, axis=(1, 2, 3))
 
 
-def _peaks(powers):
-    """(max ||c(n)||, max |c_0|) from the factor powers (|F|^2, |G|^2): the
-    node power sum_a |F_a|^2 |G_a|^2 is one product over the three rows,
-    and the largest |c_0|^2 is the product of its factors' largest."""
-    pf, pg = (p.reshape(3, -1) for p in powers)
-    node = pf.T @ pg
-    return float(np.sqrt(node.max())), float(np.sqrt(pf[2].max() * pg[2].max()))
+def _bins(grid: WaveVectorGrid):
+    """Signed FFT bins mu in [-n_phi/2, n_phi/2), in FFT order.
+
+    For even n_phi, bin -n_phi/2 is the Nyquist bin.
+    """
+    n_phi = grid.spec.n_phi
+    return np.rint(np.fft.fftfreq(n_phi) * n_phi).astype(int)
 
 
-def _transverse_ratio(peak: float, longitudinal: float) -> float:
-    """max |c_0| relative to max ||c(n)||; 0 for the zero state."""
-    return 0.0 if peak == 0.0 else longitudinal / peak
+def _axis_sums(split: int, pair, tables):
+    """Grid sums of the product of a factor pair, one axis table at a time.
+
+    `pair` holds two row arrays of shape (3, ...) whose broadcast product
+    is a function on the grid; the first owns the axes (k, theta, phi)
+    before `split`, the second the rest.  tables[i], of shape (n_t, N_i),
+    is contracted with axis i of the factor that owns it (None keeps the
+    axis), so no array of the full grid is formed unless a factor is one.
+    Returns the broadcast product of the two contracted factors.
+    """
+    out = list(pair)
+    for i, table in enumerate(tables):
+        if table is not None:
+            j = int(i >= split)
+            out[j] = np.moveaxis(np.tensordot(table, out[j], axes=(1, i + 1)), 0, i + 1)
+    return out[0] * out[1]
+
+
+# (theta, phi) indices of each khat component in the base tables
+# (1, sin theta, cos theta) and (1, cos phi, sin phi): khat_x = sin theta
+# cos phi, khat_y = sin theta sin phi, khat_z = cos theta
+_KHAT_AXES = ((1, 1), (1, 2), (2, 0))
+
+
+def _products(weights, base):
+    """Rows weights * base[i] * base[j], shape (9, n), row 3 i + j: with
+    base[0] = 1, row i is weights * base[i]."""
+    return (weights * base[:, None] * base[None, :]).reshape(-1, base.shape[1])
+
+
+class FrameMoments:
+    """Means and dispersions of a state, read off its frame-row factors.
+
+    Holds the factor pair (F, G) of v (`WaveFunction.factors`), with
+    c_a = F_a G_a, and forms every other attribute on first read, with
+    h = (+1, -1, 0) the helicities of the rows.  Read it as
+    `WaveFunction.moments`, which each state keeps.  The weights and the
+    khat components are products of tables on the axes k, theta and phi,
+    so every weighted sum of |c_a|^2 = |F_a|^2 |G_a|^2 is a product of
+    two factor sums, each table applied to the factor that owns its axis
+    (`_axis_sums`): the work is O(n_k n_theta + n_phi) on a
+    (k, theta) x phi product and O(n_k + n_theta n_phi) on a k x
+    (theta, phi) one.  An unfactored state is the pair (c, 1), so the same
+    sums run over its full rows.  From one power per factor this gives the
+    row totals (so the norm and the W dispersion), the peak node
+    amplitude and the transversality residual, and, from one product of
+    the powers with the stacked axis tables, <S>, the energy, the
+    momentum, the SAM second moments and the S3 dispersion.  One phi-FFT
+    of the factor that owns phi (`spectrum`) gives the J3 and L3 means and
+    dispersions as Parseval sums, the azimuthal support, and the bins the
+    VSH analysis reads (`slabs`).  A dispersion is ||O v - mean v||, which
+    on a normalized state is the report's eigen-residual.
+    """
+
+    def __init__(self, v: WaveFunction):
+        self.grid = v.grid
+        self.split = v.split
+        self.factors = v.factors
+
+    @cached_property
+    def _powers(self):
+        return tuple(_power(x) for x in self.factors)
+
+    @cached_property
+    def _maxima(self):
+        # (max ||c(n)||, max |c_0|): the node power sum_a |F_a|^2 |G_a|^2 is
+        # one product over the three rows, and the largest |c_0|^2 is the
+        # product of its factors' largest
+        pf, pg = (p.reshape(3, -1) for p in self._powers)
+        node = pf.T @ pg
+        return float(np.sqrt(node.max())), float(np.sqrt(pf[2].max() * pg[2].max()))
+
+    @cached_property
+    def totals(self):
+        """<c_a, c_a> per row; they sum to ||v||^2."""
+        return _read_only(_totals(self.grid, self.split, self._powers))
+
+    @property
+    def peak_amplitude(self) -> float:
+        """max ||c(n)|| over nodes."""
+        return self._maxima[0]
+
+    @property
+    def transverse_residual(self) -> float:
+        """max |c_0| / max ||c(n)||; 0 for the zero state."""
+        peak, longitudinal = self._maxima
+        return 0.0 if peak == 0.0 else longitudinal / peak
+
+    @cached_property
+    def _base_theta(self):
+        theta = self.grid.theta_nodes
+        return np.stack([np.ones_like(theta), np.sin(theta), np.cos(theta)])
+
+    @cached_property
+    def _density(self):
+        """D[a, t, theta, j] = sum over k and phi of |c_a|^2 times the radial
+        weight (t = 0) or weight times k (t = 1), and the azimuthal weight
+        times the product j of two of (1, cos phi, sin phi)."""
+        grid = self.grid
+        radial = grid.radial_weights * np.stack([np.ones_like(grid.k_nodes), grid.k_nodes])
+        phi = grid.phi_nodes
+        azimuthal = _products(2.0 * np.pi / grid.spec.n_phi,
+                              np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)]))
+        return _axis_sums(self.split, self._powers, (radial, None, azimuthal))
+
+    @cached_property
+    def _moments(self):
+        """M[a, t, i, j] = <c_a, f c_a> for f = 1 (t = 0) or |k| (t = 1)
+        times the products i of two of (1, sin theta, cos theta) and j of
+        two of (1, cos phi, sin phi); khat_l khat_m is one such product."""
+        polar = _products(self.grid.x_weights, self._base_theta)
+        return np.einsum("atqj,iq->atij", self._density, polar)
+
+    @cached_property
+    def energy(self) -> float:
+        """<P0> = sum_a <c_a, |k| c_a>."""
+        return float(self._moments[:, 1].sum(axis=0)[0, 0])
+
+    @cached_property
+    def momentum(self):
+        """<P_l> = sum_a <c_a, |k| khat_l c_a>."""
+        dens = self._moments[:, 1].sum(axis=0)
+        return _read_only(np.array([dens[i, j] for i, j in _KHAT_AXES]))
+
+    @cached_property
+    def sam(self):
+        """<S> = sum_a h_a <c_a, khat c_a>, since S = W khat."""
+        spin = _H @ self._moments[:, 0].reshape(3, -1)
+        return _read_only(spin.reshape(9, 9)[tuple(np.transpose(_KHAT_AXES))])
+
+    @cached_property
+    def sam_second_moments(self):
+        """<S_l S_m> = <c_+, khat_l khat_m c_+> + <c_-, khat_l khat_m c_->,
+        since h_a^2 is 1 on the transverse rows and 0 on c_0."""
+        spin = self._moments[0, 0] + self._moments[1, 0]
+        second = np.empty((3, 3))
+        for a, (i, j) in enumerate(_KHAT_AXES):
+            for b, (k, l) in enumerate(_KHAT_AXES[a:], start=a):
+                second[a, b] = second[b, a] = spin[3 * i + k, 3 * j + l]
+        return _read_only(second)
+
+    @cached_property
+    def helicity(self) -> float:
+        """<W> = <c_+, c_+> - <c_-, c_->."""
+        return float(self.totals[0] - self.totals[1])
+
+    def w_dispersion(self, about: float) -> float:
+        """||W v - about v||: W multiplies row a by h_a."""
+        return float(np.sqrt((_H - about) ** 2 @ self.totals))
+
+    @cached_property
+    def s3_dispersion(self) -> float:
+        """||S3 v - <S3> v||: S3 multiplies row a by h_a cos(theta)."""
+        cos = self._base_theta[2]
+        s3 = self.sam[2]
+        centred = self.grid.x_weights * (_H[:, None] * cos - s3) ** 2
+        return float(np.sqrt(np.sum(centred * self._density[:, 0, :, 0])))
+
+    @cached_property
+    def spectrum(self):
+        """The factor pair of the phi-FFT C of c: the factor that owns phi
+        transformed, the other as it is.  Bin mu of row a holds J3 order
+        mu + h_a."""
+        owner = int(self.split < 3)
+        pair = list(self.factors)
+        pair[owner] = np.fft.fft(pair[owner], axis=-1)
+        return tuple(pair)
+
+    @cached_property
+    def _spectral_powers(self):
+        return tuple(_power(x) for x in self.spectrum)
+
+    def support(self) -> dict:
+        """The FFT bins of each row that hold content.
+
+        Maps the helicity h (+1, -1, 0) of each row to the signed bins mu
+        (`_bins`) whose amplitude |C| / n_phi on some (k, theta) ring
+        exceeds _SUPPORT_REL_TOL times `peak_amplitude`; the largest |C|^2
+        of a bin is the product of its factors' largest.
+        """
+        n_phi = self.grid.spec.n_phi
+        floor = (_SUPPORT_REL_TOL * max(self.peak_amplitude, 1e-300) * n_phi) ** 2
+        bins = _bins(self.grid)
+        pf, pg = (p.max(axis=(1, 2)) for p in self._spectral_powers)
+        peaks = (pf * pg).reshape(3, n_phi)
+        return {h: bins[peak > floor] for h, peak in zip((1, -1, 0), peaks)}
+
+    def slabs(self, bins):
+        """Bins (b_+, b_-) = bins of rows (c_+, c_-) of the phi-FFT: the
+        (2, n_k, n_theta) slabs, each factor read at its bin (at 0 where its
+        phi axis is a single node), broadcast against each other."""
+        f, g = (x[[0, 1], ..., bins] if x.shape[-1] > 1 else x[:2, ..., 0]
+                for x in self.spectrum)
+        return f * g
+
+    @cached_property
+    def _ring_power(self):
+        # Parseval: weights sum_phi |c_a|^2 = weights sum_mu |C_a|^2 / n_phi,
+        # and the weights are constant on each (k, theta) ring
+        grid = self.grid
+        radial = _axis_sums(self.split, self._spectral_powers,
+                            (grid.radial_weights[None], None, None))[:, 0]
+        n_phi = grid.spec.n_phi
+        return radial * (grid.x_weights * (2.0 * np.pi / n_phi**2))[:, None]
+
+    @cached_property
+    def _j3_orders(self):
+        return (_bins(self.grid) + _H[:, None])[:, None, :]
+
+    @cached_property
+    def j3(self) -> float:
+        """<J3>: the ring power weighted by the orders mu + h_a."""
+        return float(np.sum(self._j3_orders * self._ring_power))
+
+    @cached_property
+    def j3_dispersion(self) -> float:
+        """||J3 v - <J3> v||."""
+        return float(np.sqrt(np.sum((self._j3_orders - self.j3) ** 2 * self._ring_power)))
+
+    @cached_property
+    def l3(self):
+        """<L3> = <J3> - <S3>."""
+        return self.j3 - self.sam[2]
+
+    @cached_property
+    def l3_dispersion(self) -> float:
+        """||L3 v - <L3> v||: L3 multiplies bin mu of row a by
+        mu + h_a - h_a cos(theta)."""
+        cos = np.cos(self.grid.theta_nodes)[:, None]
+        orders = self._j3_orders - _H[:, None, None] * cos
+        return float(np.sqrt(np.sum((orders - self.l3) ** 2 * self._ring_power)))
 
 
 def _frame_rows(grid: WaveVectorGrid, values):
@@ -157,6 +399,9 @@ class WaveFunction:
     c : ndarray, shape (3, n_k, n_theta, n_phi), read-only
         The frame rows (c_+, c_-, c_0), formed from the factors on first
         read and then kept.
+    moments : FrameMoments
+        The state's means, dispersions and phi-FFT, formed on first read
+        and then kept.
     """
 
     _CHECK_TOL = 1e-10
@@ -170,7 +415,7 @@ class WaveFunction:
             )
         self._hold(grid, 3, _frame_rows(grid, values), _UNIT)
         if check:
-            res = transverse_residual(self)
+            res = self.moments.transverse_residual
             if res > self._CHECK_TOL:
                 raise ValueError(
                     f"state is not transverse: max |khat.v| / max ||v|| = {res:.3e}"
@@ -208,6 +453,10 @@ class WaveFunction:
     def c(self):
         return _read_only(_product_rows(*self.factors))
 
+    @cached_property
+    def moments(self) -> FrameMoments:
+        return FrameMoments(self)
+
     @property
     def values(self):
         """Cartesian samples v = sum_a c_a f_a, shape (n_nodes, 3), read-only.
@@ -225,12 +474,9 @@ class WaveFunction:
                 out += np.multiply(self.c[a], f[a], out=tmp)
         return _read_only(np.moveaxis(planes, 0, -1).reshape(-1, 3))
 
-    def _powers(self):
-        return tuple(_power(x) for x in self.factors)
-
     def peak_amplitude(self) -> float:
         """max over nodes of ||c(n)|| = ||v(n)||, a frame-invariant scale."""
-        return _peaks(self._powers())[0]
+        return self.moments.peak_amplitude
 
     def __add__(self, other):
         self._same_grid(other)
@@ -272,7 +518,7 @@ def inner_product(u: WaveFunction, v: WaveFunction) -> complex:
 
 def norm(v: WaveFunction) -> float:
     """||v|| = sqrt(int d^3k ||c||^2), the sum of the row totals."""
-    return float(np.sqrt(_totals(v.grid, v.split, v._powers()).sum()))
+    return float(np.sqrt(v.moments.totals.sum()))
 
 
 def normalize(v: WaveFunction) -> WaveFunction:
@@ -285,7 +531,7 @@ def normalize(v: WaveFunction) -> WaveFunction:
 def transverse_residual(v: WaveFunction) -> float:
     """max |c_0| = max |khat . v| over nodes, relative to the largest node
     amplitude max ||c(n)|| (`WaveFunction.peak_amplitude`)."""
-    return _transverse_ratio(*_peaks(v._powers()))
+    return v.moments.transverse_residual
 
 
 def random_state(grid: WaveVectorGrid, seed: int = 0) -> WaveFunction:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_angmom
-from photon_angmom import cli, operators, parallel, synthesis, verify
+from photon_angmom import cli, parallel, synthesis, verify, wavefunction
 from photon_angmom.cli import main
 
 
@@ -32,6 +32,13 @@ def write_config(tmp_path, **extra):
     cfg.update(extra)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def verify_config(tmp_path, **entries):
+    """A verify config: only the keys verify reads, so no grid or mode."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, **entries}))
     return path
 
 
@@ -276,6 +283,8 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys, command, extra,
                                               overrides, key):
     if command == "synth":
         cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    elif command == "verify":
+        cfg = verify_config(tmp_path, **extra)
     else:
         cfg = write_config(tmp_path, **extra)
     assert main([command, "--config", str(cfg)] + overrides) == 2
@@ -318,20 +327,76 @@ def test_tolerance_gate_maps_to_exit_3(tmp_path, capsys):
 
 
 def test_mode_run_reads_one_set_of_moments(tmp_path, monkeypatch):
-    # the Nyquist guard, the norm and transversality gates and the report
-    # all read the moments of one FrameMoments
-    count = [0]
-    init = operators.FrameMoments.__init__
+    # the Nyquist guard, the norm, transversality and J3 gates, the report
+    # and the expansion all read the moments the state keeps: one
+    # FrameMoments, and one phi-FFT, of the factor that owns phi
+    count = {"moments": 0, "fft": 0}
+    init, fft = wavefunction.FrameMoments.__init__, np.fft.fft
 
-    def counted(self, v):
-        count[0] += 1
+    def counted_init(self, v):
+        count["moments"] += 1
         init(self, v)
-    monkeypatch.setattr(operators.FrameMoments, "__init__", counted)
-    cfg = write_config(tmp_path, grid=README_LG_GRID, mode=README_LG_MODE,
+
+    def counted_fft(*args, **kwargs):
+        count["fft"] += 1
+        return fft(*args, **kwargs)
+    monkeypatch.setattr(wavefunction.FrameMoments, "__init__", counted_init)
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    cfg = write_config(tmp_path, grid=README_LG_GRID, mode=README_LG_MODE, seed=0,
                        tolerances={"transversality": 1.0, "j3_eigen_residual": 1e-9},
-                       outputs=[{"kind": "report", "path": str(tmp_path / "report.json")}])
+                       outputs=[{"kind": "report", "path": str(tmp_path / "report.json")},
+                                {"kind": "expansion", "path": str(tmp_path / "vsh.json")}])
     assert main(["mode", "--config", str(cfg)]) == 0
-    assert count == [1]
+    assert count == {"moments": 1, "fft": 1}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("mode", ["--lattice.n_x=5"], "lattice"),
+        ("mode", ["--tolerances.com_convergence_shift=1e-30"], "com_convergence_shift"),
+        ("mode", ["--suite=spectral"], "suite"),
+        ("synth", ["--suite=spectral"], "suite"),
+        ("verify", ["--grid.n_k=3"], "grid"),
+        ("verify", ["--mode.m=1"], "mode"),
+        ("verify", ["--lattice.n_x=5"], "lattice"),
+        ("verify", ["--tolerances.mode_norm=1e-30"], "tolerances"),
+    ],
+    ids=["mode-lattice", "mode-com-tolerance", "mode-suite", "synth-suite",
+         "verify-grid", "verify-mode", "verify-lattice", "verify-tolerances"],
+)
+def test_unread_config_key_is_config_error(tmp_path, capsys, command, overrides, key):
+    # a key that another command reads is still an error where nothing reads it
+    if command == "synth":
+        cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    elif command == "verify":
+        cfg = verify_config(tmp_path, suite="algebraic")
+    else:
+        cfg = write_config(tmp_path)
+    assert main([command, "--config", str(cfg)] + overrides) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and f"the {command} command" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mode", "synth"])
+def test_j3_gate_holds_in_mode_and_synth(tmp_path, capsys, command):
+    # one gate block: synth honours j3_eigen_residual as mode does, and
+    # fails it before any field is synthesized.  A packet tilted off z is
+    # no J3 eigenstate (its J3 dispersion is about 2.4 on this grid)
+    cfg = synth_config(tmp_path, tmp_path / "fields.bin")
+    if command == "mode":
+        raw = json.loads(cfg.read_text())
+        for key in ("lattice", "outputs"):
+            raw.pop(key)
+        cfg.write_text(json.dumps(raw))
+    tilted = json.dumps({**SAM_MODE, "s_direction": [1, 0, 1]})
+    argv = [command, "--config", str(cfg), f"--mode={tilted}", "--grid.n_phi=13"]
+    assert main(argv + ["--tolerances.j3_eigen_residual=0.1"]) == 3
+    assert "'j3_eigen_residual'" in capsys.readouterr().err
+    assert not (tmp_path / "fields.bin").exists()
+    if command == "mode":
+        assert main(argv + ["--tolerances.j3_eigen_residual=10"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -439,11 +504,8 @@ def test_verify_unknown_suite(tmp_path, capsys):
 
 def test_verify_report_output_matches_stdout(tmp_path, capsys):
     out = tmp_path / "rows.json"
-    cfg = write_config(tmp_path, suite="algebraic",
-                       outputs=[{"kind": "report", "path": str(out)}])
-    del_keys = json.loads(cfg.read_text())
-    del_keys.pop("mode")  # verify does not need a mode block
-    cfg.write_text(json.dumps(del_keys))
+    cfg = verify_config(tmp_path, suite="algebraic",
+                        outputs=[{"kind": "report", "path": str(out)}])
     assert main(["verify", "--config", str(cfg)]) == 0
     assert out.read_text() == capsys.readouterr().out
     assert (tmp_path / "rows.json.meta.json").exists()

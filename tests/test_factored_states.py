@@ -3,17 +3,29 @@
 A built mode keeps each frame row as the factor pair its builder made,
 c_a = F_a G_a; `FrameMoments` and the report sum each factor on its own
 axes.  The oracle is the same rows held unfactored, `from_frame(grid,
-v.c)`, whose pair is (c, 1): every quantity must agree within 1e-13.
+v.c)`, whose pair is (c, 1): every quantity must agree within 1e-13, on
+the builders' modes and on random factor pairs of every split.  A state
+keeps one set of moments, so every reader shares one factor pass and one
+phi-FFT.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_angmom import wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
-from photon_angmom.operators import FrameMoments, azimuthal_support, observable_report
-from photon_angmom.wavefunction import WaveFunction, norm, normalize, transverse_residual
+from photon_angmom.operators import azimuthal_support, observable_report
+from photon_angmom.vsh import analyze
+from photon_angmom.wavefunction import (
+    FrameMoments,
+    WaveFunction,
+    norm,
+    normalize,
+    transverse_residual,
+)
 
 _LG = dict(kind="vector_lg", w0=25.0, k_fixed=1.0)
 _RADIAL = {"k0": 1.0, "sigma_k": 0.15}
@@ -139,3 +151,67 @@ def test_factored_moments_form_no_grid_node_array(kind):
     transverse_residual(v)
     assert not {"k", "theta", "phi", "weights", "khat", "kvec"} & set(vars(grid))
 
+
+def test_readers_share_one_set_of_moments(monkeypatch):
+    # norm, the residual, the peak, the support, the report and analyze all
+    # read the moments the state keeps: one FrameMoments, one power per
+    # factor and per spectral factor, and one phi-FFT
+    v = build_mode(_SPECS["vector_lg"][0], _grid("vector_lg", 16))
+    calls = {"FrameMoments": 0, "_power": 0, "fft": 0}
+    init = FrameMoments.__init__
+
+    def counted_init(self, state):
+        calls["FrameMoments"] += 1
+        init(self, state)
+    monkeypatch.setattr(FrameMoments, "__init__", counted_init)
+    monkeypatch.setattr(wavefunction, "_power",
+                        _counted(calls, "_power", wavefunction._power))
+    monkeypatch.setattr(np.fft, "fft", _counted(calls, "fft", np.fft.fft))
+    norm(v)
+    transverse_residual(v)
+    v.peak_amplitude()
+    azimuthal_support(v)
+    observable_report(v)
+    analyze(v, 7)
+    assert calls == {"FrameMoments": 1, "_power": 4, "fft": 1}
+
+
+def _moment_quantities(moments):
+    return {**_quantities(moments), "energy": moments.energy,
+            "momentum": moments.momentum,
+            "sam_second_moments": moments.sam_second_moments}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(split=st.sampled_from([1, 2, 3]), n_k=st.integers(1, 4), n_theta=st.integers(2, 9),
+       n_phi=st.integers(4, 13), seed=st.integers(0, 2**32 - 1))
+def test_random_factor_pairs_match_unfactored_rows(split, n_k, n_theta, n_phi, seed):
+    grid = build_grid(GridSpec(n_k=n_k, k_min=0.5, k_max=1.5, n_theta=n_theta, n_phi=n_phi))
+    rng = np.random.default_rng(seed)
+
+    def factor(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # split 3 is the unfactored pair (c, 1)
+    F = factor((3,) + grid.shape[:split] + (1,) * (3 - split))
+    G = factor((3,) + (1,) * split + grid.shape[split:]) if split < 3 else np.ones((3, 1, 1, 1))
+    raw = WaveFunction._from_factors(grid, split, F, G)
+    v = WaveFunction._from_factors(grid, split, F / norm(raw), G)
+    u = WaveFunction.from_frame(grid, v.c)
+    assert u.split == 3
+    label = f"split {split}, grid {grid.shape}, seed {seed}"
+
+    def close(got, want, what):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale,
+                                   err_msg=f"{label}: {what}")
+    want = _moment_quantities(u.moments)
+    for key, value in _moment_quantities(v.moments).items():
+        close(value, want[key], key)
+    got_support, want_support = azimuthal_support(v), azimuthal_support(u)
+    for h in (1, -1, 0):
+        assert np.array_equal(got_support[h], want_support[h]), label
+    want = _flat_report(u)
+    for key, value in _flat_report(v).items():
+        close(value, want[key], f"report {key}")
+    l_max = min(n_theta - 1, (n_phi - 1) // 2)
+    close(analyze(v, l_max).coeffs, analyze(u, l_max).coeffs, "analyze")

@@ -17,7 +17,6 @@ from photon_angmom.modes import (
     theta_distribution,
 )
 from photon_angmom.operators import (
-    FrameMoments,
     apply_J3_azimuthal,
     apply_S,
     apply_W,
@@ -25,6 +24,7 @@ from photon_angmom.operators import (
 )
 from photon_angmom.polarization import eps_plus, helicity_basis
 from photon_angmom.wavefunction import (
+    FrameMoments,
     WaveFunction,
     inner_product,
     norm,

@@ -1,7 +1,7 @@
 """The verify programs: moments off the frame kernel, NaN-safe worst cases.
 
 `paraxial_suite`, `sam_convergence` and `never_eigenstate` read their means
-and dispersions off `operators.FrameMoments`; the Cartesian operator path
+and dispersions off `wavefunction.FrameMoments`; the Cartesian operator path
 (`oracles`: the cross products for S and W and the component-wise inner
 product on `values`, with J3 applied) is the oracle.  Every worst case must
 keep a NaN residual, so that the row it feeds fails.
@@ -17,8 +17,8 @@ from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
 from photon_angmom import cli, operators, verify, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
-from photon_angmom.operators import FrameMoments, apply_J3_azimuthal
-from photon_angmom.wavefunction import WaveFunction
+from photon_angmom.operators import apply_J3_azimuthal
+from photon_angmom.wavefunction import FrameMoments, WaveFunction
 
 
 def _oracle(v, w=None):
