@@ -9,6 +9,14 @@ circular polarization basis is single valued on every node.
 
 Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 
+The Gauss-Legendre rule of each order n is computed once per process
+(`gauss_legendre`, a bounded cache around numpy's `leggauss`) and shared
+by every grid and program that asks for it: the radial and the polar
+rules of all grids read it, so two grids of one spec hold the same nodes
+and weights, bit for bit.  The shared arrays are read-only; a grid's
+`x_nodes` and `x_weights` are the shared polar rule itself, so writing to
+them raises.
+
 Besides its nodes and weights a grid keeps two angular tables, each
 built on first use and kept for its lifetime: the local frame of its
 angular nodes (`frame`) and, per azimuthal order m, the VSH helicity rows
@@ -23,7 +31,7 @@ a 12x64x64 grid after a report and a full-band round trip at l_max 31.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +45,21 @@ __all__ = [
     "integrate",
     "angular_integrate",
     "legendre_normalized",
+    "gauss_legendre",
 ]
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule (x, w) on [-1, 1], x ascending.
+
+    numpy's `leggauss`, computed once per process for each n and shared:
+    both arrays are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def legendre_normalized(l_max: int, x, m_max: int | None = None):
@@ -125,7 +147,8 @@ class WaveVectorGrid:
     moments of a factored state need only the per-axis nodes and weights
     below, so a grid read only through them never forms the node arrays.
     x_nodes, x_weights : ndarray, shape (n_theta,)
-        The polar Gauss-Legendre rule in x = cos(theta).
+        The polar Gauss-Legendre rule in x = cos(theta), the read-only
+        arrays that `gauss_legendre` shares.
     theta_nodes, phi_nodes : ndarray
         The shared angular subgrid, one copy per radial shell.
     angular_weights : ndarray, shape (n_theta * n_phi,)
@@ -144,13 +167,13 @@ class WaveVectorGrid:
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        xr, wr = np.polynomial.legendre.leggauss(spec.n_k)
+        xr, wr = gauss_legendre(spec.n_k)
         half = 0.5 * (spec.k_max - spec.k_min)
         self.k_nodes = spec.k_min + half * (xr + 1.0)
         self.radial_weights = half * wr * self.k_nodes**2
 
-        xt, wt = np.polynomial.legendre.leggauss(spec.n_theta)
-        # leggauss returns ascending x, i.e. descending theta
+        xt, wt = gauss_legendre(spec.n_theta)
+        # the rule is ascending in x, i.e. descending in theta
         self.x_nodes = xt
         self.x_weights = wt
         self.theta_nodes = np.arccos(xt)

@@ -32,9 +32,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
-from .grid import GridSpec, build_grid
+from .grid import GridSpec, build_grid, gauss_legendre
 from .modes import ModeSpec, build_mode, scalar_lg, theta_distribution
 from .operators import (
     apply_J,
@@ -54,7 +53,7 @@ from .synthesis import (
     relative_com_difference,
     synthesize_fields,
 )
-from .vsh import VshExpansion, analyze, synthesize, vsh_pair
+from .vsh import VshExpansion, analyze, synthesize, vsh_basis
 from .wavefunction import norm, normalize, random_state
 
 __all__ = [
@@ -193,24 +192,23 @@ def spectral_suite(seed: int = 0):
     ]
 
 
+def _gram(basis, weights):
+    """The Gram matrix conj(B) diag(w) B^T of the rows of `basis`, as one
+    GEMM against a single weighted copy of the basis."""
+    weighted = basis * weights
+    return np.conj(weighted, out=weighted) @ basis.T
+
+
 def vsh_suite(seed: int = 0):
     """Basis orthonormality, transform round trip, eigen-residuals."""
-    x, wt = leggauss(12)
-    theta = np.arccos(x)
+    x, wt = gauss_legendre(12)
     n_phi = 20
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    th = np.repeat(theta, n_phi)
-    ph = np.tile(phi, 12)
-    w_ang = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi)
-
-    fields = []
-    for l in range(1, 9):
-        for m in range(-l, l + 1):
-            pair = vsh_pair(l, m, th, ph)
-            fields.extend(pair)
-    mat = np.array(fields)                      # (n_basis, n_angles, 3)
-    gram = np.einsum("iac,a,jac->ij", np.conj(mat), w_ang, mat)
-    r_orth = float(np.abs(gram - np.eye(len(fields))).max())
+    # (n_basis, angle . component): Y1 and Y2 of each (l, m), on the
+    # product of the polar nodes and the azimuths, components last
+    basis = vsh_basis(8, np.arccos(x), phi).reshape(-1, x.size * n_phi * 3)
+    gram = _gram(basis, np.repeat(wt * (2.0 * np.pi / n_phi), n_phi * 3))
+    r_orth = float(np.abs(gram - np.eye(len(basis))).max())
 
     grid = build_grid(GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=16, n_phi=24))
     l_rt = 10

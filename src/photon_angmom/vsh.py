@@ -74,6 +74,7 @@ __all__ = [
     "VshExpansion",
     "scalar_ylm",
     "vsh_pair",
+    "vsh_basis",
     "analyze",
     "synthesize",
     "legendre_normalized",
@@ -170,6 +171,18 @@ def scalar_ylm(l: int, m: int, theta, phi):
     return _signed_rows(table, [m])[0, l] * np.exp(1j * m * phi)
 
 
+def _vsh_fields(h_plus, h_minus, m: int, x, s, phi):
+    """(Y1_lm, Y2_lm), each shape (..., 3), from the degree-l entries of
+    the rows (H_+, H_-) of `_helicity_rows` at points with polar
+    x = cos(theta), s = sin(theta) and azimuth phi, broadcast together."""
+    c_plus = (h_plus * np.exp(1j * (m - 1) * phi))[..., None]
+    c_minus = (-1j * h_minus * np.exp(1j * (m + 1) * phi))[..., None]
+    ep = eps_plus_angles(x, s, phi)
+    em = 1j * np.conj(ep)
+    # khat x eps_h = -i h eps_h
+    return c_plus * ep + c_minus * em, -1j * c_plus * ep + 1j * c_minus * em
+
+
 def vsh_pair(l: int, m: int, theta, phi):
     """Vector spherical harmonics (Y1, Y2) at angles, each shape (..., 3).
 
@@ -186,12 +199,32 @@ def vsh_pair(l: int, m: int, theta, phi):
     table = legendre_normalized(l + 1, x)
     weight = _ladder_weights(l, [m])[0]
     h_plus, h_minus = _helicity_rows(table, weight, _x_mix(x, s), m)[:, l]
-    c_plus = (h_plus * np.exp(1j * (m - 1) * phi))[..., None]
-    c_minus = (-1j * h_minus * np.exp(1j * (m + 1) * phi))[..., None]
-    ep = eps_plus_angles(x, s, phi)
-    em = 1j * np.conj(ep)
-    # khat x eps_h = -i h eps_h
-    return c_plus * ep + c_minus * em, -1j * c_plus * ep + 1j * c_minus * em
+    return _vsh_fields(h_plus, h_minus, m, x, s, phi)
+
+
+def vsh_basis(l_max: int, theta, phi):
+    """Every pair (Y1_lm, Y2_lm), 1 <= l <= l_max, |m| <= l, on the product
+    of the polar angles theta and the azimuths phi.
+
+    Shape (l_max (l_max + 2), 2, n_theta, n_phi, 3): pair l^2 - 1 + l + m
+    is (l, m), in order of l and then m, and equals
+    `vsh_pair(l, m, theta[:, None], phi)` bit for bit.  One Legendre table
+    on the n_theta polar angles serves every order.
+    """
+    if l_max < 1:
+        raise ValueError("vector harmonics require l >= 1")
+    theta = np.asarray(theta, dtype=float)[:, None]
+    phi = np.asarray(phi, dtype=float)
+    x, s = np.cos(theta), np.sin(theta)
+    table = legendre_normalized(l_max + 1, x)
+    mix = _x_mix(x, s)
+    ms = np.arange(-l_max, l_max + 1)
+    out = np.empty((l_max * (l_max + 2), 2, theta.size, phi.size, 3), dtype=complex)
+    for m, weight in zip(ms, _ladder_weights(l_max, ms)):
+        h_plus, h_minus = _helicity_rows(table, weight, mix, m)
+        for l in range(max(abs(m), 1), l_max + 1):
+            out[l * l - 1 + l + m] = _vsh_fields(h_plus[l], h_minus[l], m, x, s, phi)
+    return out
 
 
 class VshExpansion:

@@ -87,8 +87,9 @@ _H = np.array([1.0, -1.0, 0.0])
 # m-window read the same support
 _SUPPORT_REL_TOL = 1e-12
 
-# the second factor of an unfactored state, c = (c, 1)
+# the second factor of an unfactored state, c = (c, 1), and its power
 _UNIT = _read_only(np.ones((3, 1, 1, 1), dtype=complex))
+_UNIT_POWER = _read_only(np.ones((3, 1, 1, 1)))
 
 
 def _product_rows(F, G):
@@ -119,9 +120,13 @@ def _factor_weights(grid: WaveVectorGrid, split: int):
 
 def _totals(grid: WaveVectorGrid, split: int, powers) -> np.ndarray:
     """<c_a, c_a> = (sum w_F |F_a|^2)(sum w_G |G_a|^2) per row, from the
-    factor powers; they sum to ||v||^2."""
+    factor powers; they sum to ||v||^2.  The unit factor's sum is an exact
+    1, so it is skipped."""
     (wf, wg), (pf, pg) = _factor_weights(grid, split), powers
-    return np.sum(wf * pf, axis=(1, 2, 3)) * np.sum(wg * pg, axis=(1, 2, 3))
+    totals = np.sum(wf * pf, axis=(1, 2, 3))
+    if pg is not _UNIT_POWER:
+        totals *= np.sum(wg * pg, axis=(1, 2, 3))
+    return totals
 
 
 def _bins(grid: WaveVectorGrid):
@@ -194,7 +199,7 @@ class FrameMoments:
 
     @cached_property
     def _powers(self):
-        return tuple(_power(x) for x in self.factors)
+        return tuple(_UNIT_POWER if x is _UNIT else _power(x) for x in self.factors)
 
     @cached_property
     def _maxima(self):

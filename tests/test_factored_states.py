@@ -176,6 +176,23 @@ def test_readers_share_one_set_of_moments(monkeypatch):
     assert calls == {"FrameMoments": 1, "_power": 4, "fft": 1}
 
 
+def test_unfactored_totals_equal_the_two_factor_formula(monkeypatch):
+    # the pair (c, 1) skips the unit factor's power and sum: multiplying by
+    # an exact 1 changes no bit
+    grid = _grid("j3_w_eigenstate", 15)
+    v = wavefunction.random_state(grid, seed=3) * 1.0
+    assert v.split == 3 and v.factors[1] is wavefunction._UNIT
+    power = wavefunction._power
+    calls = {"_power": 0}
+    monkeypatch.setattr(wavefunction, "_power", _counted(calls, "_power", power))
+    got = v.moments.totals
+    assert calls == {"_power": 1}
+    wf, wg = wavefunction._factor_weights(grid, 3)
+    pf, pg = (power(x) for x in v.factors)
+    want = np.sum(wf * pf, axis=(1, 2, 3)) * np.sum(wg * pg, axis=(1, 2, 3))
+    assert got.tobytes() == want.tobytes()
+
+
 def _moment_quantities(moments):
     return {**_quantities(moments), "energy": moments.energy,
             "momentum": moments.momentum,

@@ -6,6 +6,7 @@ from photon_angmom.grid import (
     GridSpec,
     angular_integrate,
     build_grid,
+    gauss_legendre,
     integrate,
 )
 
@@ -78,6 +79,42 @@ def test_gauss_legendre_nodes_match_roots():
         np.sort(g.x_nodes), [-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)], atol=1e-15
     )
     np.testing.assert_allclose(g.x_weights, [1.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 56, 512])
+def test_shared_rule_is_leggauss_bit_for_bit(n):
+    for got, want in zip(gauss_legendre(n), np.polynomial.legendre.leggauss(n)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_grid_polar_rule_is_the_shared_read_only_rule():
+    grid = build_grid(GridSpec(n_k=2, k_min=0.5, k_max=1.5, n_theta=9, n_phi=4))
+    x, w = gauss_legendre(grid.spec.n_theta)
+    assert grid.x_nodes is x and grid.x_weights is w
+    for name in ("x_nodes", "x_weights"):
+        with pytest.raises(ValueError):
+            getattr(grid, name)[0] = 0.0
+
+
+def test_grids_of_one_n_theta_compute_the_rule_once(monkeypatch):
+    # the rule of each order is computed once per process, whatever asks
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    gauss_legendre.cache_clear()
+    try:
+        spec = GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=17, n_phi=8)
+        a, b = build_grid(spec), build_grid(spec)
+    finally:
+        gauss_legendre.cache_clear()
+    assert sorted(calls) == [3, 17]
+    assert a.x_nodes is b.x_nodes
+    assert a.k_nodes.tobytes() == b.k_nodes.tobytes()
 
 
 def test_total_measure(grid):

@@ -17,7 +17,9 @@ from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
 from photon_angmom import cli, operators, verify, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
+from photon_angmom.grid import gauss_legendre
 from photon_angmom.operators import apply_J3_azimuthal
+from photon_angmom.vsh import vsh_basis
 from photon_angmom.wavefunction import FrameMoments, WaveFunction
 
 
@@ -195,6 +197,21 @@ def _poison_build(monkeypatch, which):
 
 def _failing(rows):
     return {row["check"] for row in rows if not row["pass"]}
+
+
+def test_vsh_gram_gemm_matches_einsum():
+    # the suite's basis and weights; the GEMM Gram against the einsum form
+    x, wt = gauss_legendre(12)
+    phi = 2.0 * np.pi * np.arange(20) / 20
+    basis = vsh_basis(8, np.arccos(x), phi)
+    w_ang = np.repeat(wt, 20) * (2.0 * np.pi / 20)
+    mat = basis.reshape(160, 240, 3)
+    want = np.einsum("iac,a,jac->ij", np.conj(mat), w_ang, mat)
+    got = verify._gram(basis.reshape(160, -1), np.repeat(w_ang, 3))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    row = verify.vsh_suite()[0]
+    assert row["check"] == "vsh_orthonormality_l<=8"
+    assert row["max_residual"] == np.abs(got - np.eye(160)).max() <= 1e-14
 
 
 def test_nan_residual_fails_algebraic_row(monkeypatch):

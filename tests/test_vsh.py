@@ -14,6 +14,7 @@ from photon_angmom.vsh import (
     legendre_normalized,
     scalar_ylm,
     synthesize,
+    vsh_basis,
     vsh_pair,
 )
 from photon_angmom.wavefunction import WaveFunction, norm, random_state
@@ -151,6 +152,20 @@ def _basis_matrix(grid, l_cut):
                 rows.append((y1 if a == 1 else y2).reshape(-1))
                 labels.append((a, l, m))
     return np.array(rows), labels
+
+
+def test_vsh_basis_is_vsh_pair_bit_for_bit():
+    x, _ = np.polynomial.legendre.leggauss(12)
+    theta = np.arccos(x)
+    phi = 2.0 * np.pi * np.arange(20) / 20
+    basis = vsh_basis(8, theta, phi)
+    assert basis.shape == (80, 2, 12, 20, 3)
+    th, ph = np.repeat(theta, 20), np.tile(phi, 12)
+    for l in range(1, 9):
+        for m in range(-l, l + 1):
+            pair = basis[l * l - 1 + l + m]
+            for got, want in zip(pair, vsh_pair(l, m, th, ph)):
+                assert got.reshape(-1, 3).tobytes() == want.tobytes(), (l, m)
 
 
 def test_orthonormality_up_to_l8():
