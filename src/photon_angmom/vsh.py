@@ -94,15 +94,15 @@ def ladder(l, m, sign):
 
 
 def _signed_rows(table, mu):
-    """Real rows P[:, mu] of the signed orders mu, stacked first.
+    """Real rows P[:, mu] of the signed orders mu, the axes of mu first.
 
     Y_{l,mu} = P[l, mu] e^{i mu phi}; Y_{l,-mu} = (-1)^mu conj(Y_{l,mu}) puts
     the sign of a negative order on the table row of |mu|.
     """
     mu = np.asarray(mu)
     sign = np.where((mu < 0) & (mu % 2 == 1), -1.0, 1.0)
-    rows = np.moveaxis(table[:, np.abs(mu)], 1, 0)
-    return rows * sign.reshape(sign.shape + (1,) * (rows.ndim - 1))
+    rows = np.moveaxis(table[:, np.abs(mu)], 0, mu.ndim)
+    return rows * sign.reshape(sign.shape + (1,) * (rows.ndim - mu.ndim))
 
 
 def _ladder_weights(l_max: int, ms):
@@ -123,16 +123,19 @@ def _x_mix(x, s):
     return np.array([[x - 1.0, x + 1.0, -2.0 * s], [x + 1.0, x - 1.0, -2.0 * s]])
 
 
-def _helicity_rows(table, weight, mix, m: int):
-    """Rows (H_+, H_-) of Y1_lm, l = 0..l_max: shape (2, l_max+1, ...).
+def _helicity_rows(table, weights, mix, ms):
+    """Rows (H_+, H_-) of Y1_lm of each order m in ms, l = 0..l_max:
+    shape (len(ms), 2, l_max+1, ...).
 
-    `weight` is this m's entry of `_ladder_weights` and `mix` the `_x_mix`
-    of the points, optionally times a quadrature weight.  The table must
-    hold orders up to |m| + 1: the R_0 and R_1 rows of |m| = l_max read
-    order l_max + 1, with a zero ladder factor.
+    `weights` holds the `_ladder_weights` of ms and `mix` is the `_x_mix`
+    of the points, optionally times a quadrature weight; the rows of `mix`
+    select the helicities built (its first row alone builds H_+ only).  The
+    table must hold orders up to max |m| + 1: the R_0 and R_1 rows of
+    |m| = l_max read order l_max + 1, with a zero ladder factor.
     """
-    rows = _signed_rows(table[: weight.shape[1]], [m + 1, m - 1, m])
-    return np.einsum("hc...,cl,cl...->hl...", mix, weight, rows)
+    ms = np.asarray(ms)[:, None]
+    rows = _signed_rows(table[: weights.shape[-1]], ms + np.array([1, -1, 0]))
+    return np.einsum("hc...,mcl,mcl...->mhl...", mix, weights, rows)
 
 
 def _polar_quadrature(grid: WaveVectorGrid):
@@ -140,25 +143,39 @@ def _polar_quadrature(grid: WaveVectorGrid):
     return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
 
 
-def _grid_rows(grid: WaveVectorGrid, l_max: int, ms):
-    """Analysis rows (H_+, H_-) of each order m in ms, degrees 0..l_max,
-    with `_polar_quadrature` folded in: read-only, shape (2, l_max+1, n_theta).
+def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
+    """Analysis rows of the orders m_min..m_max, degrees 0..l_max, with
+    `_polar_quadrature` folded in: a read-only view R of shape
+    (n_m, 2, l_max+1, n_theta) into the grid's table of H_+ rows.
 
-    The grid keeps them per order for its lifetime.  An order asked for a
-    larger l_max than it holds is built again up to that l_max; row l does
-    not depend on l_max, so a held order serves every smaller l_max as a
-    slice.
+    R[i, 0] is H_+ of order m_min + i.  R[i, 1] is H_+ of order
+    i - m_max, which equals -(-1)^m H_- of m = m_max - i in value, so
+    column 1 runs over the orders in decreasing m and carries that sign.
+    The grid keeps H_+ of the orders -top..top at the largest l_max asked
+    (`grid._helicity_rows`, {top: table}); a request past either is built
+    again, all orders in one call.  Row l does not depend on l_max, so the
+    table serves every smaller l_max as a slice.
     """
     held = grid._helicity_rows
-    stale = [int(m) for m in ms if m not in held or held[m].shape[1] <= l_max]
-    if stale:
-        table = legendre_normalized(l_max + 1, grid.x_nodes, max(abs(m) for m in stale) + 1)
-        mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
-        for m, weight in zip(stale, _ladder_weights(l_max, stale)):
-            rows = _helicity_rows(table, weight, mix, m)
-            rows.flags.writeable = False
-            held[m] = rows
-    return [held[m][:, : l_max + 1] for m in ms]
+    top, table = next(iter(held.items()), (-1, None))
+    need = max(m_max, -m_min)
+    if need > top or table.shape[1] <= l_max:
+        top = max(top, need)
+        n_l = max(l_max + 1, 0 if table is None else table.shape[1])
+        ms = np.arange(-top, top + 1)
+        legendre = legendre_normalized(n_l, grid.x_nodes, top + 1)
+        mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
+        table = _helicity_rows(legendre, _ladder_weights(n_l - 1, ms), mix, ms)[:, 0]
+        table.flags.writeable = False
+        held.clear()
+        held[top] = table
+    step = table.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        table[top + m_min :, : l_max + 1],
+        shape=(m_max - m_min + 1, 2, l_max + 1, grid.spec.n_theta),
+        strides=(step, (-m_max - m_min) * step) + table.strides[1:],
+        writeable=False,
+    )
 
 
 def scalar_ylm(l: int, m: int, theta, phi):
@@ -197,8 +214,8 @@ def vsh_pair(l: int, m: int, theta, phi):
     )
     x, s = np.cos(theta), np.sin(theta)
     table = legendre_normalized(l + 1, x)
-    weight = _ladder_weights(l, [m])[0]
-    h_plus, h_minus = _helicity_rows(table, weight, _x_mix(x, s), m)[:, l]
+    rows = _helicity_rows(table, _ladder_weights(l, [m]), _x_mix(x, s), [m])
+    h_plus, h_minus = rows[0, :, l]
     return _vsh_fields(h_plus, h_minus, m, x, s, phi)
 
 
@@ -217,11 +234,10 @@ def vsh_basis(l_max: int, theta, phi):
     phi = np.asarray(phi, dtype=float)
     x, s = np.cos(theta), np.sin(theta)
     table = legendre_normalized(l_max + 1, x)
-    mix = _x_mix(x, s)
     ms = np.arange(-l_max, l_max + 1)
+    rows = _helicity_rows(table, _ladder_weights(l_max, ms), _x_mix(x, s), ms)
     out = np.empty((l_max * (l_max + 2), 2, theta.size, phi.size, 3), dtype=complex)
-    for m, weight in zip(ms, _ladder_weights(l_max, ms)):
-        h_plus, h_minus = _helicity_rows(table, weight, mix, m)
+    for m, (h_plus, h_minus) in zip(ms, rows):
         for l in range(max(abs(m), 1), l_max + 1):
             out[l * l - 1 + l + m] = _vsh_fields(h_plus[l], h_minus[l], m, x, s, phi)
     return out
@@ -369,40 +385,58 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
         if m_min > m_max or m_min < -l_max or m_max > l_max:
             raise ValueError("azimuthal window must lie within [-l_max, l_max]")
 
-    n_k, n_theta, n_phi = grid.shape
-    moments = v.moments
     ms = np.arange(m_min, m_max + 1)
-    # p[h, k, l, m]: contraction of bin m - h of c_h against H_h
-    p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
-    for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, l_max, ms))):
-        picked = moments.slabs([(m - 1) % n_phi, (m + 1) % n_phi])
-        p[..., i] = np.broadcast_to(picked, (2, n_k, n_theta)) @ rows.transpose(0, 2, 1)
-    # with the -i of H_- conjugated into p_- = i p[1]:
-    # a1 = p_+ + p_-, a2 = i (p_+ - p_-)
-    coeffs = np.stack([p[0] + 1j * p[1], 1j * p[0] + p[1]])
+    # column 0 reads bin m - 1 of c_+ in increasing m, column 1 bin m + 1
+    # of c_- in decreasing m, against the rows of `_grid_rows`
+    orders = np.stack([ms, ms[::-1]], axis=1)
+    slab = v.moments.slabs((orders - [1, -1]) % spec.n_phi)
+    # the sign -(-1)^m of the H_- rows, on the even orders of column 1
+    np.negative(slab[m_max % 2 :: 2, 1], out=slab[m_max % 2 :: 2, 1])
+    rows = _grid_rows(grid, l_max, m_min, m_max)
+    p = (rows @ slab.view(float)).view(complex)
+    # p_+ and p_- as [k, l, m], with the -i of H_- conjugated into
+    # p_- = i p[1]: a1 = p_+ + p_-, a2 = i (p_+ - p_-)
+    p_plus, p_minus = p[:, 0].transpose(2, 1, 0), p[::-1, 1].transpose(2, 1, 0)
+    coeffs = np.stack([p_plus + 1j * p_minus, 1j * p_plus + p_minus])
     return VshExpansion(grid, l_max, m_min, m_max, coeffs)
 
 
 def synthesize(e: VshExpansion) -> WaveFunction:
     """Sum the expansion back to grid samples (transverse by construction)."""
     grid = e.grid
-    n_k, n_theta, n_phi = grid.shape
+    n_k, _, n_phi = grid.shape
+    # bins[h, k, theta, mu]: the e^{i mu phi} amplitude of c_h
+    bins = np.zeros((2,) + grid.shape, dtype=complex)
     # a shifted window (J+- of an expansion) may reach past |m| = l_max,
     # where every slot is structurally zero
-    ms = np.arange(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1)
-    a1, a2 = e.coeffs[..., ms - e.m_min]
-    # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-
-    q = np.stack([a1 - 1j * a2, a2 - 1j * a1])
-    # bins[h, mu]: the (k, theta) rows of the e^{i mu phi} amplitude of c_h.
-    # Orders are added one at a time, so orders that alias onto one bin of
-    # a coarse azimuthal grid add up.
-    bins = np.zeros((2, n_phi, n_k, n_theta), dtype=complex)
-    for i, (m, rows) in enumerate(zip(ms, _grid_rows(grid, e.l_max, ms))):
-        c_plus, c_minus = q[..., i] @ rows
-        bins[0, (m - 1) % n_phi] += c_plus
-        bins[1, (m + 1) % n_phi] += c_minus
-    # the rows carry the polar quadrature of the analysis
-    bins /= _polar_quadrature(grid)
+    m_min, m_max = max(e.m_min, -e.l_max), min(e.m_max, e.l_max)
+    n_m = m_max - m_min + 1
+    if n_m > 0:
+        a1, a2 = e.coeffs[..., m_min - e.m_min : m_max - e.m_min + 1]
+        # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-, laid out
+        # (m, h, l, k) as the rows of `_grid_rows` read them: column 1 in
+        # decreasing m, with the sign of its H_- rows on the even orders
+        q = np.empty((n_m, 2, e.l_max + 1, n_k), dtype=complex)
+        q_plus, q_minus = q.transpose(1, 3, 2, 0)
+        np.subtract(a1, 1j * a2, out=q_plus)
+        np.subtract(a2, 1j * a1, out=q_minus[..., ::-1])
+        np.negative(q[m_max % 2 :: 2, 1], out=q[m_max % 2 :: 2, 1])
+        rows = _grid_rows(grid, e.l_max, m_min, m_max)
+        c = (rows.swapaxes(-1, -2) @ q.view(float)).view(complex)
+        # c_+ into bin m - 1 and c_- into bin m + 1, both in increasing m:
+        # orders that alias onto one bin of a coarse azimuthal grid add up
+        # in that order, as each run of n_phi orders fills distinct bins
+        for h, (rows_h, shift) in enumerate(((c[:, 0], 1), (c[::-1, 1], -1))):
+            for lo in range(0, n_m, n_phi):
+                run = rows_h[lo : lo + n_phi].transpose(2, 1, 0)
+                first = (m_min + lo - shift) % n_phi
+                # the run's bins are cyclic: first..n_phi - 1, then 0..
+                head = min(run.shape[-1], n_phi - first)
+                bins[h, ..., first : first + head] += run[..., :head]
+                bins[h, ..., : run.shape[-1] - head] += run[..., head:]
+    # the rows carry the polar quadrature of the analysis: bins / w is
+    # numpy's complex division by a real w, bins * (1 / w), on the floats
+    floats = bins.view(float)
+    floats *= 1.0 / _polar_quadrature(grid)[:, None]
     # the inverse FFT evaluates the amplitudes at the azimuthal nodes; c_0 = 0
-    c = np.fft.ifft(bins, axis=1, norm="forward")
-    return WaveFunction.from_frame(grid, np.moveaxis(c, 1, -1))
+    return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))

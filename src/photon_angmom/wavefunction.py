@@ -326,12 +326,15 @@ class FrameMoments:
         return {h: bins[peak > floor] for h, peak in zip((1, -1, 0), peaks)}
 
     def slabs(self, bins):
-        """Bins (b_+, b_-) = bins of rows (c_+, c_-) of the phi-FFT: the
-        (2, n_k, n_theta) slabs, each factor read at its bin (at 0 where its
-        phi axis is a single node), broadcast against each other."""
+        """Bins bins[i] = (b_+, b_-) of rows (c_+, c_-) of the phi-FFT, for
+        an integer array of shape (n, 2): the slabs as one contiguous
+        (n, 2, n_theta, n_k) array, theta before k, so that its float view
+        holds (re, im) of each k last.  Each factor is read at its bin (at
+        0 where its phi axis is a single node) and the two are multiplied."""
         f, g = (x[[0, 1], ..., bins] if x.shape[-1] > 1 else x[:2, ..., 0]
                 for x in self.spectrum)
-        return f * g
+        out = np.empty(bins.shape + self.grid.shape[1::-1], dtype=complex)
+        return np.multiply(f.swapaxes(-1, -2), g.swapaxes(-1, -2), out=out)
 
     @cached_property
     def _ring_power(self):

@@ -1,14 +1,29 @@
-"""Cartesian oracles for the frame operators and the frame inner product.
+"""Oracles: Cartesian forms of the frame operators and the frame inner
+product, and the VSH transforms one azimuthal order at a time.
 
 The library holds a state as its rows c in the local frame (eps_+, eps_-,
-khat).  These forms act on the Cartesian samples `v.values` instead,
+khat).  The Cartesian forms act on the samples `v.values` instead,
 component by component, as the operators are written in the paper:
 
     (W v) = i khat x v,   (S_l v) = i khat_l (khat x v),
     <u, v> = int d^3k conj(u) . v,   longitudinal part khat . v.
+
+`per_order_analyze` and `per_order_synthesize` are the VSH transforms as
+a loop over the orders m, each order with its own rows (H_+, H_-) built
+by `vsh._helicity_rows`, its own FFT bins and its own add into the bins
+of the synthesis.  Each order's contraction is the real product on float
+views that `vsh.analyze` and `vsh.synthesize` batch over all orders, so
+the batched transforms must equal these bit for bit on any BLAS.  (A
+complex product per order, rows cast to complex, agrees with them only to
+roundoff: BLAS may block the theta sum of a complex GEMM differently from
+a real one, and routes a single radial node through GEMV.)
 """
 
 import numpy as np
+
+from photon_angmom import vsh
+from photon_angmom.grid import legendre_normalized
+from photon_angmom.wavefunction import WaveFunction
 
 
 def cross_W(v):
@@ -33,3 +48,51 @@ def cartesian_norm(grid, a) -> float:
 def khat_dot(v):
     """khat . v at every node: the longitudinal part."""
     return np.einsum("nc,nc->n", v.grid.khat, v.values)
+
+
+def _quadrature(grid):
+    """(2 pi / n_phi) w_theta: the weight of one node of each polar ring."""
+    return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
+
+
+def order_rows(grid, l_max, m):
+    """Rows (H_+, H_-) of order m with the analysis quadrature folded in,
+    built afresh: shape (2, l_max+1, n_theta)."""
+    table = legendre_normalized(l_max + 1, grid.x_nodes, abs(m) + 1)
+    mix = _quadrature(grid) * vsh._x_mix(grid.x_nodes, np.sin(grid.theta_nodes))
+    return vsh._helicity_rows(table, vsh._ladder_weights(l_max, [m]), mix, [m])[0]
+
+
+def per_order_analyze(v, l_max, m_window=None):
+    """Coefficients (2, n_k, l_max+1, n_m) of `vsh.analyze`, one order at a
+    time: bins m - 1 of c_+ and m + 1 of c_- of the state's own phi-FFT,
+    each contracted with its row."""
+    n_k, n_theta, n_phi = v.grid.shape
+    m_min, m_max = (-l_max, l_max) if m_window is None else m_window
+    ms = np.arange(m_min, m_max + 1)
+    p = np.empty((2, n_k, l_max + 1, ms.size), dtype=complex)
+    for i, m in enumerate(ms):
+        slab = v.moments.slabs(np.array([[(m - 1) % n_phi, (m + 1) % n_phi]]))[0]
+        rows = order_rows(v.grid, l_max, m)
+        p[..., i] = (rows @ slab.view(float)).view(complex).transpose(0, 2, 1)
+    return np.stack([p[0] + 1j * p[1], 1j * p[0] + p[1]])
+
+
+def per_order_synthesize(e):
+    """The state of `vsh.synthesize`, one order at a time: (a1 - i a2) H_+
+    added into bin m - 1 of c_+ and (a2 - i a1) H_- into bin m + 1 of c_-,
+    in increasing m, then divided by the quadrature and inverse
+    transformed in phi."""
+    grid = e.grid
+    n_k, n_theta, n_phi = grid.shape
+    bins = np.zeros((2, n_phi, n_k, n_theta), dtype=complex)
+    for m in range(max(e.m_min, -e.l_max), min(e.m_max, e.l_max) + 1):
+        a1, a2 = e.coeffs[..., m - e.m_min]
+        q = np.ascontiguousarray(np.stack([a1 - 1j * a2, a2 - 1j * a1]).transpose(0, 2, 1))
+        rows = order_rows(grid, e.l_max, m).transpose(0, 2, 1)
+        c_plus, c_minus = (rows @ q.view(float)).view(complex).transpose(0, 2, 1)
+        bins[0, (m - 1) % n_phi] += c_plus
+        bins[1, (m + 1) % n_phi] += c_minus
+    bins /= _quadrature(grid)
+    c = np.fft.ifft(bins, axis=1, norm="forward")
+    return WaveFunction.from_frame(grid, np.moveaxis(c, 1, -1))

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from oracles import order_rows, per_order_analyze, per_order_synthesize
 from scipy.special import sph_harm_y
 
 from photon_angmom import vsh
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
-from photon_angmom.operators import observable_report
+from photon_angmom.operators import apply_J, azimuthal_window, observable_report
 from photon_angmom.vsh import (
     VshExpansion,
     analyze,
@@ -61,15 +62,13 @@ def test_legendre_order_cap_keeps_rows_and_refilled_grid_rows_are_bit_identical(
         assert capped.shape == (21, min(m_max, 20) + 1, 30)
         assert np.array_equal(capped, full[:, : min(m_max, 20) + 1])
     # each fill of the grid's rows builds its own Legendre table, capped at
-    # the orders it fills; an order refilled for a larger band from a
-    # larger table keeps its rows, bit for bit
+    # the orders it fills; the table refilled for a larger band and more
+    # orders from a larger Legendre table keeps its rows, bit for bit
     g = build_grid(GridSpec(n_k=2, k_min=0.94, k_max=1.06, n_theta=256, n_phi=12))
-    first = {m: rows.tobytes() for m, rows in zip((-1, 0, 1), vsh._grid_rows(g, 10, (-1, 0, 1)))}
-    refilled = vsh._grid_rows(g, 97, range(-6, 7))
-    for m, rows in zip(range(-6, 7), refilled):
-        assert rows.shape == (2, 98, 256)
-        if m in first:
-            assert rows[:, :11].tobytes() == first[m], m
+    first = vsh._grid_rows(g, 10, -1, 1).copy()
+    refilled = vsh._grid_rows(g, 97, -6, 6)
+    assert refilled.shape == (13, 2, 98, 256)
+    assert refilled[5:8, :, :11].tobytes() == first.tobytes()
     assert not hasattr(g, "legendre") and not hasattr(g, "_legendre")
 
 
@@ -432,36 +431,37 @@ SWEEP_PACKET = ModeSpec(
 )
 
 
-def _assert_grid_rows_are_built_rows(g, l_max, ms):
-    """The rows the grid serves equal `_helicity_rows` built afresh with the
-    analysis quadrature, bit for bit, on every order and degree."""
-    table = legendre_normalized(l_max + 1, g.x_nodes, max(abs(m) for m in ms) + 1)
-    quad = (2.0 * np.pi / g.spec.n_phi) * g.x_weights
-    mix = quad * vsh._x_mix(g.x_nodes, np.sin(g.theta_nodes))
-    for m, rows in zip(ms, vsh._grid_rows(g, l_max, ms)):
-        built = vsh._helicity_rows(table, vsh._ladder_weights(l_max, [m])[0], mix, m)
-        assert rows.shape == built.shape and rows.tobytes() == built.tobytes(), m
-        assert not rows.flags.writeable
+def _assert_grid_rows_are_built_rows(g, l_max, m_min, m_max):
+    """The rows the grid serves for the orders m_min..m_max equal
+    `_helicity_rows` built afresh with the analysis quadrature, bit for bit,
+    on every order and degree: column 0 holds H_+ of m, column 1 H_+ of -m
+    in decreasing m, which is -(-1)^m H_- of m in value."""
+    rows = vsh._grid_rows(g, l_max, m_min, m_max)
+    assert rows.shape == (m_max - m_min + 1, 2, l_max + 1, g.spec.n_theta)
+    assert not rows.flags.writeable
+    for i, m in enumerate(range(m_min, m_max + 1)):
+        h_plus, h_minus = order_rows(g, l_max, m)
+        assert rows[i, 0].tobytes() == h_plus.tobytes(), m
+        assert rows[-1 - i, 1].tobytes() == order_rows(g, l_max, -m)[0].tobytes(), m
+        assert np.array_equal(-(-1.0) ** m * rows[-1 - i, 1], h_minus), m
 
 
 @pytest.mark.parametrize("spec, l_max", SWEEP, ids=["8x256x12", "12x32x32", "12x64x64"])
 def test_grid_rows_are_the_builders_rows(spec, l_max):
     g = build_grid(spec)
-    full = range(-l_max, l_max + 1)
-    _assert_grid_rows_are_built_rows(g, l_max, full)
-    # the report's band, on a window that reaches |m| = l_max as the J+-
-    # expansions of the report do; the orders it grows still serve the
-    # sweep's band
+    _assert_grid_rows_are_built_rows(g, l_max, -l_max, l_max)
+    # the report's band on an off-centre window, as the report reads it;
+    # the grown table still serves the sweep's band
     top = min(spec.n_theta - 1, 96)
-    _assert_grid_rows_are_built_rows(g, top, [-top, 1 - top, -1, 0, 1, top - 1, top])
-    _assert_grid_rows_are_built_rows(g, l_max, full)
+    _assert_grid_rows_are_built_rows(g, top, -1, 2)
+    _assert_grid_rows_are_built_rows(g, l_max, -l_max, l_max)
 
 
 @pytest.mark.parametrize("bands", [(63, 31), (31, 63)], ids=["shrink", "grow"])
 def test_grid_rows_serve_either_band_order(bands):
     g = build_grid(SWEEP[2][0])
     for l_max in bands:
-        _assert_grid_rows_are_built_rows(g, l_max, range(-31, 32))
+        _assert_grid_rows_are_built_rows(g, l_max, -31, 31)
     assert {rows.shape[1] for rows in g._helicity_rows.values()} == {64}
 
 
@@ -489,3 +489,51 @@ def test_grid_rows_memory_stays_within_budget():
     observable_report(v)
     synthesize(analyze(v, 31))
     assert sum(rows.nbytes for rows in g._helicity_rows.values()) <= 3_000_000
+
+
+# The batched transforms against the per-order oracle, bit for bit: each
+# sweep grid with its kind of state and with an unfactored random state,
+# an odd n_phi and a single radial node.
+SWEEP_MODES = (
+    LG_MODE,
+    ModeSpec(kind="j3_w_eigenstate", m=-2, w=1, radial_profile={"k0": 1.0, "sigma_k": 0.12},
+             theta_profile={"kind": "gaussian_in_theta", "theta0": 0.3, "sigma_theta": 0.3}),
+    SWEEP_PACKET,
+)
+ORACLE_CASES = [
+    pytest.param(spec, l_max, mode, id=f"{spec.n_k}x{spec.n_theta}x{spec.n_phi}-{name}")
+    for (spec, l_max), sweep_mode in zip(SWEEP, SWEEP_MODES)
+    for name, mode in (("random", None), (sweep_mode.kind, sweep_mode))
+] + [
+    pytest.param(GridSpec(n_k=6, k_min=0.4, k_max=1.6, n_theta=16, n_phi=25), 10, None,
+                 id="odd-n_phi-random"),
+    pytest.param(GridSpec(n_k=1, k_min=0.5, k_max=1.5, n_theta=12, n_phi=13), 6, None,
+                 id="one-radial-node-random"),
+]
+
+
+@pytest.mark.parametrize("spec, l_max, mode", ORACLE_CASES)
+def test_transforms_equal_the_per_order_oracle(spec, l_max, mode):
+    g = build_grid(spec)
+    v = random_state(g, seed=59) if mode is None else build_mode(mode, g)
+    e = analyze(v, l_max)
+    assert e.coeffs.tobytes() == per_order_analyze(v, l_max).tobytes()
+    # J+- shift the window past |m| = l_max, where synthesize skips orders
+    for f in (e, apply_J(1, e), apply_J(2, e)):
+        assert synthesize(f).c.tobytes() == per_order_synthesize(f).c.tobytes()
+    # windowed: the report's band on the state's own window, and one
+    # window off centre
+    top = min(spec.n_theta - 1, 96)
+    for l_band, window in ((top, azimuthal_window(v, top)), (l_max, (1, l_max))):
+        got = analyze(v, l_band, window).coeffs
+        assert got.tobytes() == per_order_analyze(v, l_band, window).tobytes(), window
+
+
+def test_transforms_equal_the_per_order_oracle_on_aliasing_orders(coarse_grid):
+    rng = np.random.default_rng(61)
+    e = VshExpansion.zero(coarse_grid, l_max=4)
+    e.coeffs[:] = rng.standard_normal(e.coeffs.shape) + 1j * rng.standard_normal(e.coeffs.shape)
+    v = synthesize(e)
+    assert v.c.tobytes() == per_order_synthesize(e).c.tobytes()
+    got = analyze(v, 4, (1, 2)).coeffs
+    assert got.tobytes() == per_order_analyze(v, 4, (1, 2)).tobytes()
