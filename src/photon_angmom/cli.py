@@ -51,6 +51,7 @@ import numpy as np
 
 from . import __version__
 from .config import finite_real, strict_int, string
+from .csvfile import write_csv
 from .grid import GridSpec, build_grid
 from .modes import EmptyProfileError, ModeSpec, build_mode
 from .operators import azimuthal_support, observable_report
@@ -247,25 +248,11 @@ def report_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-# Rows formatted per write, so memory stays bounded for any node count.
-_CSV_CHUNK_ROWS = 2048
-_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
-
-
 def write_wavefunction_csv(v, path: str) -> None:
     grid = v.grid
+    header = "k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3"
     try:
-        with open(path, "w") as fh:
-            fh.write("k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3\n")
-            values = v.values  # read once: every read forms them anew
-            for lo in range(0, grid.n_nodes, _CSV_CHUNK_ROWS):
-                sl = slice(lo, lo + _CSV_CHUNK_ROWS)
-                vals = values[sl]
-                cols = [grid.k[sl], grid.theta[sl], grid.phi[sl]]
-                for c in range(3):
-                    cols += [vals[:, c].real, vals[:, c].imag]
-                rows = zip(*(col.tolist() for col in cols))
-                fh.write("".join(_CSV_ROW % row for row in rows))
+        write_csv(path, header, (grid.k_nodes, grid.theta_nodes, grid.phi_nodes), v.values)
     except OSError as err:
         raise ConfigError(f"cannot write output {path!r}: {err}") from None
 

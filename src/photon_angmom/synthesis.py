@@ -118,6 +118,7 @@ import numpy as np
 
 from . import parallel
 from .config import Reals, Spec, Vec3, coerce_fields
+from .csvfile import write_csv
 from .operators import observable_report
 from .wavefunction import WaveFunction, norm
 
@@ -564,14 +565,5 @@ def export_slice(snapshot: FieldSnapshot, path: str, field: str = "E",
         ["x", "y", "z"]
         + [f"{p}_{field}{c}" for c in (1, 2, 3) for p in ("re", "im")]
     )
-    # rows (ix, iy): x, y, z, then (re, im) of each component
-    table = np.empty((lat.n_x, lat.n_y, 9))
-    table[..., 0] = lat.axis(0)[:, None]
-    table[..., 1] = lat.axis(1)
-    table[..., 2] = lat.axis(2)[iz]
-    table[..., 3::2] = data[:, :, iz].real
-    table[..., 4::2] = data[:, :, iz].imag
-    row = ",".join(["%.17g"] * 9) + "\n"
-    with open(path, "w") as fh:
-        fh.write(cols + "\n")
-        fh.writelines(row % tuple(values) for values in table.reshape(-1, 9).tolist())
+    axes = (lat.axis(0), lat.axis(1), lat.axis(2)[iz : iz + 1])
+    write_csv(path, cols, axes, data[:, :, iz].reshape(-1, 3))

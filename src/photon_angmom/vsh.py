@@ -38,10 +38,9 @@ quadrature, (2 pi / n_phi) w_theta: with p_+ and p_- these two
 contractions (the -i of H_- folded in), the coefficients are
 a1 = p_+ + p_- and a2 = i (p_+ - p_-).  `synthesize` is the transpose:
 it adds (a1 - i a2) H_+ into bin m - 1 of c_+ and (a2 - i a1) H_- into
-bin m + 1 of c_-, one order at a time, so orders that alias onto one bin
-of a coarse azimuthal grid still add, divides out the quadrature weight,
-and an inverse FFT gives the rows of the state, with c_0 = 0: transverse
-by construction.
+bin m + 1 of c_-, divides out the quadrature weight, and an inverse FFT
+along phi gives the rows of the state, with c_0 = 0: transverse by
+construction.
 The azimuthal FFT and the polar Gauss-Legendre sums are exact for
 bandlimited content.  The FFT is the one every state keeps with its
 moments (`WaveFunction.moments`): the factor pair of
@@ -51,15 +50,29 @@ is transformed in phi once, whether the report, the J3 moments, the
 azimuthal support or `analyze` asks first, and there is one analysis
 path.
 
+Both transforms run every order of their window as one batched real
+matrix product on float views (the Legendre contraction batched over
+orders, as in Schaeffer, G^3 14 (2013) 751): `analyze` gathers the bins
+of all orders in one indexed read, laid out (m, h, theta, k) so that
+(re, im) of each k sit last, and multiplies the rows into them;
+`synthesize` lays its amplitudes out the same way over l and adds the
+products into the bins, which hold phi last so that the inverse FFT runs
+along the contiguous axis.  Orders that alias onto one bin of a coarse
+azimuthal grid add up in increasing m, n_phi orders at a time.
+
 The weighted rows depend only on the grid and on m, so the grid keeps
-them (`_grid_rows`): per order, read-only, for its lifetime, built by
-`_helicity_rows` the first time a transform asks for the order and built
-again only when a larger l_max is asked.  Row l does not depend on
-l_max, so the rows of a larger band serve every smaller one as a slice,
-and both transforms read the same table.  An order holds
-2 (l_max + 1) n_theta floats: after a report and a round trip at the
-largest full band, about 0.64 MB on the README `mode` grid (8x256x12),
-0.26 MB on the README library grid (12x32x32) and 2.9 MB on 12x64x64.
+them (`_grid_rows`).  H_- of order m is -(-1)^m H_+ of order -m in value,
+so the grid holds only H_+, of the orders -top..top, in one read-only
+table: a strided view of it serves both helicities of any window within
+top, and the sign goes onto the bins and amplitudes of the even orders.
+The table is built, every order in one call, the first time a transform
+asks, and built again only when a larger l_max or a wider window is
+asked.  Row l does not depend on l_max, so one table serves every smaller
+band as a slice.  It holds (2 top + 1)(l_max + 1) n_theta floats: after a
+report and a round trip at the largest full band, 0.25 MB on the README
+library grid (12x32x32) and 2.1 MB on 12x64x64, and 2.2 MB on the README
+`mode` grid (8x256x12), where the report's band of 97 rows covers the
+eleven orders of the expansion dump.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import photon_angmom
-from photon_angmom import cli, parallel, synthesis, verify, wavefunction
+from photon_angmom import cli, csvfile, parallel, synthesis, verify, wavefunction
 from photon_angmom.cli import main
 
 
@@ -102,6 +102,31 @@ def test_mode_wavefunction_csv(tmp_path):
     # quadrature norm of the dumped samples should be ~1 for a built mode
     values = data[:, 3::2] + 1j * data[:, 4::2]
     assert np.all(np.isfinite(values))
+
+
+def _wavefunction_csv_per_row(v):
+    # the CSV written one row at a time; the oracle for write_wavefunction_csv
+    g = v.grid
+    lines = ["k,theta,phi,re_v1,im_v1,re_v2,im_v2,re_v3,im_v3"]
+    for i, row in enumerate(v.values):
+        nums = [g.k[i], g.theta[i], g.phi[i]] + [x for c in row for x in (c.real, c.imag)]
+        lines.append(",".join("%.17g" % x for x in nums))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 12), (2, 6, 13), (3, 30, 25)],
+                         ids=["one-radial-node", "odd-n_phi", "partial-chunk"])
+def test_wavefunction_csv_matches_per_row_formatting(tmp_path, shape):
+    n_k, n_theta, n_phi = shape
+    grid = photon_angmom.build_grid(photon_angmom.GridSpec(
+        n_k=n_k, k_min=0.5, k_max=1.5, n_theta=n_theta, n_phi=n_phi))
+    if shape == (3, 30, 25):
+        # two chunks, the second one partial
+        assert grid.n_nodes % csvfile._CSV_CHUNK_ROWS and grid.n_nodes > csvfile._CSV_CHUNK_ROWS
+    v = wavefunction.random_state(grid, seed=19)
+    path = tmp_path / "wf.csv"
+    cli.write_wavefunction_csv(v, str(path))
+    assert path.read_text() == _wavefunction_csv_per_row(v)
 
 
 def test_mode_expansion_concentrates_on_m(tmp_path):

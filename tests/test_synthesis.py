@@ -389,6 +389,10 @@ def test_export_slice_matches_per_value_formatting(tmp_path):
             export_slice(snap, path, field=field, iz=iz)
             with open(path) as fh:
                 assert fh.read() == _slice_per_value(snap, field, iz)
+    # the default plane is the middle one
+    export_slice(snap, path)
+    with open(path) as fh:
+        assert fh.read() == _slice_per_value(snap, "E", lattice.n_z // 2)
 
 
 def test_export_slice(tmp_path):
