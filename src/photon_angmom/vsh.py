@@ -156,6 +156,13 @@ def _polar_quadrature(grid: WaveVectorGrid):
     return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
 
 
+# The grid's table is built this many bytes of `_helicity_rows` input
+# rows (three per order) at a time: its temporaries take a few times that,
+# which a block keeps small next to the table, and small grids take one
+# call.
+_ROW_BUILD_BYTES = 1 << 22
+
+
 def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     """Analysis rows of the orders m_min..m_max, degrees 0..l_max, with
     `_polar_quadrature` folded in: a read-only view R of shape
@@ -165,9 +172,10 @@ def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     i - m_max, which equals -(-1)^m H_- of m = m_max - i in value, so
     column 1 runs over the orders in decreasing m and carries that sign.
     The grid keeps H_+ of the orders -top..top at the largest l_max asked
-    (`grid._helicity_rows`, {top: table}); a request past either is built
-    again, all orders in one call.  Row l does not depend on l_max, so the
-    table serves every smaller l_max as a slice.
+    (`grid._helicity_rows`, {top: table}); a request past either builds it
+    again, in blocks of orders that keep the temporaries small.  Row l does
+    not depend on l_max, so the table serves every smaller l_max as a
+    slice.
     """
     held = grid._helicity_rows
     top, table = next(iter(held.items()), (-1, None))
@@ -178,7 +186,12 @@ def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
         ms = np.arange(-top, top + 1)
         legendre = legendre_normalized(n_l, grid.x_nodes, top + 1)
         mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
-        table = _helicity_rows(legendre, _ladder_weights(n_l - 1, ms), mix, ms)[:, 0]
+        weights = _ladder_weights(n_l - 1, ms)
+        table = np.empty((ms.size, n_l, grid.spec.n_theta))
+        step = max(1, _ROW_BUILD_BYTES // (3 * table[0].nbytes))
+        for lo in range(0, ms.size, step):
+            block = slice(lo, lo + step)
+            table[block] = _helicity_rows(legendre, weights[block], mix, ms[block])[:, 0]
         table.flags.writeable = False
         held.clear()
         held[top] = table

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,21 @@ def test_grid_rows_serve_either_band_order(bands):
     for l_max in bands:
         _assert_grid_rows_are_built_rows(g, l_max, -31, 31)
     assert {rows.shape[1] for rows in g._helicity_rows.values()} == {64}
+
+
+def test_grid_rows_build_in_bounded_blocks():
+    # 121 orders at 97 rows on 256 nodes: a 24 MB table, whose input rows
+    # built in one call would take about six times that in temporaries
+    g = build_grid(GridSpec(n_k=1, k_min=0.5, k_max=1.5, n_theta=256, n_phi=12))
+    tracemalloc.start()
+    try:
+        vsh._grid_rows(g, 96, -60, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (table,) = g._helicity_rows.values()
+    assert table.shape == (121, 97, 256)
+    assert peak < 2.5 * table.nbytes
 
 
 def test_warm_grid_analyze_and_report_equal_a_fresh_grid():
