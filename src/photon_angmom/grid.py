@@ -83,13 +83,16 @@ def legendre_normalized(l_max: int, x, m_max: int | None = None):
     for m in range(1, m_max + 1):
         pmm = -pmm * np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sx
         out[m, m] = pmm
-    # first off-diagonal, then the three-term recurrence upward in l
-    for m in range(0, min(m_max + 1, l_max)):
-        out[m + 1, m] = x * np.sqrt(2.0 * m + 3.0) * out[m, m]
-        for l in range(m + 2, l_max + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            out[l, m] = a * (x * out[l - 1, m] - b * out[l - 2, m])
+    # first off-diagonal, then the three-term recurrence upward in l, for
+    # all orders m <= l - 2 at once
+    ms = np.arange(min(m_max + 1, l_max))
+    column = (-1,) + (1,) * x.ndim
+    out[ms + 1, ms] = x * np.sqrt(2.0 * ms + 3.0).reshape(column) * out[ms, ms]
+    for l in range(2, l_max + 1):
+        m = ms[: l - 1]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).reshape(column)
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)).reshape(column)
+        out[l, : m.size] = a * (x * out[l - 1, : m.size] - b * out[l - 2, : m.size])
     return out
 
 

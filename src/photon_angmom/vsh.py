@@ -65,14 +65,15 @@ them (`_grid_rows`).  H_- of order m is -(-1)^m H_+ of order -m in value,
 so the grid holds only H_+, of the orders -top..top, in one read-only
 table: a strided view of it serves both helicities of any window within
 top, and the sign goes onto the bins and amplitudes of the even orders.
-The table is built, every order in one call, the first time a transform
-asks, and built again only when a larger l_max or a wider window is
+The table is built the first time a transform asks, many orders per
+call, and built again only when a larger l_max or a wider window is
 asked.  Row l does not depend on l_max, so one table serves every smaller
 band as a slice.  It holds (2 top + 1)(l_max + 1) n_theta floats: after a
 report and a round trip at the largest full band, 0.25 MB on the README
 library grid (12x32x32) and 2.1 MB on 12x64x64, and 2.2 MB on the README
 `mode` grid (8x256x12), where the report's band of 97 rows covers the
-eleven orders of the expansion dump.
+eleven orders of the expansion dump.  A narrow window far from m = 0
+holds every order down to its mirror image at its band.
 """
 
 from __future__ import annotations
@@ -172,26 +173,32 @@ def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     i - m_max, which equals -(-1)^m H_- of m = m_max - i in value, so
     column 1 runs over the orders in decreasing m and carries that sign.
     The grid keeps H_+ of the orders -top..top at the largest l_max asked
-    (`grid._helicity_rows`, {top: table}); a request past either builds it
-    again, in blocks of orders that keep the temporaries small.  Row l does
-    not depend on l_max, so the table serves every smaller l_max as a
-    slice.
+    (`grid._helicity_rows`, {top: table}).  A request past either grows it:
+    a wider window at the band held builds only the new orders, a larger
+    band builds them all, in blocks of orders that keep the temporaries
+    small.  Row l does not depend on l_max, so the table serves every
+    smaller l_max as a slice.
     """
     held = grid._helicity_rows
     top, table = next(iter(held.items()), (-1, None))
     need = max(m_max, -m_min)
     if need > top or table.shape[1] <= l_max:
-        top = max(top, need)
         n_l = max(l_max + 1, 0 if table is None else table.shape[1])
-        ms = np.arange(-top, top + 1)
+        grown = np.empty((2 * max(top, need) + 1, n_l, grid.spec.n_theta))
+        middle = len(grown) // 2
+        ms = np.arange(-middle, middle + 1)
+        if table is not None and table.shape[1] == n_l:
+            # a wider window at the band held keeps the rows it has
+            grown[middle - top : middle + top + 1] = table
+            ms = ms[np.abs(ms) > top]
+        table, top = grown, middle
         legendre = legendre_normalized(n_l, grid.x_nodes, top + 1)
         mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
-        weights = _ladder_weights(n_l - 1, ms)
-        table = np.empty((ms.size, n_l, grid.spec.n_theta))
         step = max(1, _ROW_BUILD_BYTES // (3 * table[0].nbytes))
         for lo in range(0, ms.size, step):
-            block = slice(lo, lo + step)
-            table[block] = _helicity_rows(legendre, weights[block], mix, ms[block])[:, 0]
+            block = ms[lo : lo + step]
+            weights = _ladder_weights(n_l - 1, block)
+            table[block + top] = _helicity_rows(legendre, weights, mix, block)[:, 0]
         table.flags.writeable = False
         held.clear()
         held[top] = table
