@@ -19,13 +19,14 @@ them raises.
 
 Besides its nodes and weights a grid keeps two angular tables, each
 built on first use and kept for its lifetime: the local frame of its
-angular nodes (`frame`) and the VSH helicity rows H_+ of the analysis
-over the azimuthal orders -top..top (filled by `vsh._grid_rows`, grown to
-the largest l_max and window asked; the Legendre table they are built
-from lives only while the table is filled).  The table holds
-(2 top + 1)(l_max + 1) n_theta floats: 2.2 MB on the README `mode` grid
-(8x256x12) after its report and expansion dump, and 2.1 MB on a 12x64x64
-grid after a report and a full-band round trip at l_max 31.
+angular nodes (`frame`) and tables of the VSH helicity rows H_+ of the
+analysis over the azimuthal orders -top..top, one per band a transform
+asked for that no held table covers (filled by `vsh._grid_rows`; the
+Legendre table they are built from lives only while a table is filled).
+A table holds (2 top + 1)(l_max + 1) n_theta floats; the grid holds
+1.1 MB on the README `mode` grid (8x256x12) after its report and
+expansion dump, and 1.9 MB on a 12x64x64 grid after a report and a
+full-band round trip at l_max 31.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class WaveVectorGrid:
     _helicity_rows : dict
         top -> the read-only VSH helicity rows H_+ of the analysis of the
         orders -top..top, shape (2 top + 1, l_max+1, n_theta); empty until
-        a transform runs, then one entry.
+        a transform runs.
     _factor_weights : dict
         Split -> the weights as a factor pair (`wavefunction._factor_weights`).
     """

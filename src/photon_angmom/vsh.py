@@ -62,18 +62,19 @@ azimuthal grid add up in increasing m, n_phi orders at a time.
 
 The weighted rows depend only on the grid and on m, so the grid keeps
 them (`_grid_rows`).  H_- of order m is -(-1)^m H_+ of order -m in value,
-so the grid holds only H_+, of the orders -top..top, in one read-only
-table: a strided view of it serves both helicities of any window within
-top, and the sign goes onto the bins and amplitudes of the even orders.
-The table is built the first time a transform asks, many orders per
-call, and built again only when a larger l_max or a wider window is
-asked.  Row l does not depend on l_max, so one table serves every smaller
-band as a slice.  It holds (2 top + 1)(l_max + 1) n_theta floats: after a
-report and a round trip at the largest full band, 0.25 MB on the README
-library grid (12x32x32) and 2.1 MB on 12x64x64, and 2.2 MB on the README
-`mode` grid (8x256x12), where the report's band of 97 rows covers the
-eleven orders of the expansion dump.  A narrow window far from m = 0
-holds every order down to its mirror image at its band.
+so the grid holds only H_+, of the orders -top..top, in read-only tables:
+a strided view of one table serves both helicities of any window within
+its top, and the sign goes onto the bins and amplitudes of the even
+orders.  Row l does not depend on the band, so a table serves every
+smaller band as a slice.  A table is built, many orders per call, when no
+held table covers a request's window and band, and it replaces the tables
+it covers; so a report's band on its narrow window and a round trip's
+full window at a smaller band each keep their own.  A table holds
+(2 top + 1)(l_max + 1) n_theta floats.  After a report and a round trip
+at the largest full band the grid holds 0.17 MB on the README library
+grid (12x32x32), 1.9 MB on 12x64x64 and 1.1 MB on the README `mode` grid
+(8x256x12).  A narrow window far from m = 0 holds every order down to its
+mirror image at its band.
 """
 
 from __future__ import annotations
@@ -157,51 +158,46 @@ def _polar_quadrature(grid: WaveVectorGrid):
     return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
 
 
-# The grid's table is built this many bytes of `_helicity_rows` input
-# rows (three per order) at a time: its temporaries take a few times that,
-# which a block keeps small next to the table, and small grids take one
-# call.
+# A table is built this many bytes of `_helicity_rows` input rows (three
+# per order) at a time: its temporaries take a few times that, which a
+# block keeps small next to the table, and small grids take one call.
 _ROW_BUILD_BYTES = 1 << 22
 
 
 def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     """Analysis rows of the orders m_min..m_max, degrees 0..l_max, with
     `_polar_quadrature` folded in: a read-only view R of shape
-    (n_m, 2, l_max+1, n_theta) into the grid's table of H_+ rows.
+    (n_m, 2, l_max+1, n_theta) into one of the grid's tables of H_+ rows.
 
     R[i, 0] is H_+ of order m_min + i.  R[i, 1] is H_+ of order
     i - m_max, which equals -(-1)^m H_- of m = m_max - i in value, so
     column 1 runs over the orders in decreasing m and carries that sign.
-    The grid keeps H_+ of the orders -top..top at the largest l_max asked
-    (`grid._helicity_rows`, {top: table}).  A request past either grows it:
-    a wider window at the band held builds only the new orders, a larger
-    band builds them all, in blocks of orders that keep the temporaries
-    small.  Row l does not depend on l_max, so the table serves every
-    smaller l_max as a slice.
+    The grid keeps tables of H_+ over the orders -top..top
+    (`grid._helicity_rows`, {top: table}); row l does not depend on the
+    band, so any table with top >= max(m_max, -m_min) and more than l_max
+    rows serves the request as a slice.  Otherwise a table of this top and
+    band is built, in blocks of orders that keep the temporaries small,
+    and replaces every table it covers: a report's band on its window and
+    a round trip's full window at a smaller band each keep their own.
     """
     held = grid._helicity_rows
-    top, table = next(iter(held.items()), (-1, None))
     need = max(m_max, -m_min)
-    if need > top or table.shape[1] <= l_max:
-        n_l = max(l_max + 1, 0 if table is None else table.shape[1])
-        grown = np.empty((2 * max(top, need) + 1, n_l, grid.spec.n_theta))
-        middle = len(grown) // 2
-        ms = np.arange(-middle, middle + 1)
-        if table is not None and table.shape[1] == n_l:
-            # a wider window at the band held keeps the rows it has
-            grown[middle - top : middle + top + 1] = table
-            ms = ms[np.abs(ms) > top]
-        table, top = grown, middle
-        legendre = legendre_normalized(n_l, grid.x_nodes, top + 1)
+    table = next((t for top, t in held.items() if top >= need and t.shape[1] > l_max), None)
+    if table is None:
+        ms = np.arange(-need, need + 1)
+        legendre = legendre_normalized(l_max + 1, grid.x_nodes, need + 1)
         mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
+        weights = _ladder_weights(l_max, ms)
+        table = np.empty((ms.size, l_max + 1, grid.spec.n_theta))
         step = max(1, _ROW_BUILD_BYTES // (3 * table[0].nbytes))
         for lo in range(0, ms.size, step):
-            block = ms[lo : lo + step]
-            weights = _ladder_weights(n_l - 1, block)
-            table[block + top] = _helicity_rows(legendre, weights, mix, block)[:, 0]
+            block = slice(lo, lo + step)
+            table[block] = _helicity_rows(legendre, weights[block], mix, ms[block])[:, 0]
         table.flags.writeable = False
-        held.clear()
-        held[top] = table
+        for top in [top for top, t in held.items() if top <= need and t.shape[1] <= l_max + 1]:
+            del held[top]
+        held[need] = table
+    top = len(table) // 2
     step = table.strides[0]
     return np.lib.stride_tricks.as_strided(
         table[top + m_min :, : l_max + 1],

@@ -450,17 +450,16 @@ def _assert_grid_rows_are_built_rows(g, l_max, m_min, m_max):
 @pytest.mark.parametrize("spec, l_max", SWEEP, ids=["8x256x12", "12x32x32", "12x64x64"])
 def test_grid_rows_are_the_builders_rows(spec, l_max):
     g = build_grid(spec)
+    _assert_grid_rows_are_built_rows(g, l_max, -l_max, l_max)
     # the report's band on an off-centre window, as the report reads it,
-    # then a wider window at that band, which keeps the orders held; the
-    # grown table serves the sweep's band
+    # gets its own table; then a wider window at that band, whose table
+    # replaces both and serves the sweep's band
     top = min(spec.n_theta - 1, 96)
     _assert_grid_rows_are_built_rows(g, top, -1, 2)
+    assert sorted(g._helicity_rows) == [2, l_max]
     _assert_grid_rows_are_built_rows(g, top, -l_max, l_max)
+    assert list(g._helicity_rows) == [l_max]
     _assert_grid_rows_are_built_rows(g, l_max, -l_max, l_max)
-    # a larger band than held builds every order again
-    g = build_grid(spec)
-    _assert_grid_rows_are_built_rows(g, l_max, -l_max, l_max)
-    _assert_grid_rows_are_built_rows(g, top, -1, 2)
 
 
 @pytest.mark.parametrize("bands", [(63, 31), (31, 63)], ids=["shrink", "grow"])
