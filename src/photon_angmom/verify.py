@@ -45,7 +45,6 @@ from .operators import (
     apply_W,
     observable_report,
 )
-from .polarization import eps_minus, eps_plus
 from .synthesis import (
     SpaceTimeLattice,
     k_space_com,

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -544,6 +545,57 @@ def test_scalar_lg_values_and_norms():
     b = scalar_lg(1, 2, 2.0, rho, 0.0)
     ov = np.sum(wu * np.exp(u) * np.conj(a) * b) * 2.0 * np.pi / 4.0
     assert abs(ov) < 1e-12
+
+
+def test_laguerre_is_scipys_bit_for_bit():
+    u = np.concatenate([np.linspace(0.0, 5000.0, 20001), [1e-300, 1e-8, 0.5, 1.0, 2.5]])
+    for p in range(9):
+        for alpha in range(13):
+            np.testing.assert_array_equal(
+                modes._laguerre(p, alpha, u), eval_genlaguerre(p, alpha, u))
+
+
+def _scalar_lg_scipy(m, p, w0, rho, phi):
+    """The scipy closed form that `scalar_lg` replaced: gammaln for the
+    norm factor and eval_genlaguerre for the radial polynomial."""
+    am = abs(m)
+    u = 0.5 * w0 * w0 * rho * rho
+    norm_factor = (w0 / np.sqrt(2.0 * np.pi)) * np.exp(
+        0.5 * (gammaln(p + 1.0) - gammaln(p + am + 1.0))
+    )
+    radial = (w0 * rho / np.sqrt(2.0)) ** am * eval_genlaguerre(p, am, u) * np.exp(-0.5 * u)
+    return norm_factor * (1j**am) * radial * np.exp(1j * m * phi)
+
+
+def test_scalar_lg_is_the_scipy_closed_form_bit_for_bit_up_to_order_12():
+    # gammaln(x) is log((x - 1)!) bit for bit for x <= 13, so every mode
+    # with p + |m| <= 12 keeps its bytes
+    phi = np.linspace(0.0, 2.0 * np.pi, 601)
+    for w0 in (3.0, 20.0, 25.0, 45.0):
+        rho = np.linspace(0.0, 6.0 / w0, 601)
+        for m in range(-12, 13):
+            for p in range(13 - abs(m)):
+                np.testing.assert_array_equal(
+                    scalar_lg(m, p, w0, rho, phi), _scalar_lg_scipy(m, p, w0, rho, phi),
+                    err_msg=f"m={m}, p={p}, w0={w0}")
+
+
+def test_scalar_lg_norm_factor_is_accurate_above_order_12():
+    # the factor is |phi_{m,p}| over the radial part that scalar_lg forms,
+    # against the correctly rounded sqrt(p! / (p + |m|)!)
+    w0 = 3.0
+    rho = np.array([0.2, 0.5, 1.0]) / w0
+    u = 0.5 * w0 * w0 * rho * rho
+    for n in range(13, 41):
+        for p in range(n + 1):
+            am = n - p
+            radial = (w0 * rho / np.sqrt(2.0)) ** am * modes._laguerre(p, am, u) \
+                * np.exp(-0.5 * u)
+            factor = np.abs(scalar_lg(am, p, w0, rho, 0.0)) / np.abs(radial)
+            exact = (w0 / np.sqrt(2.0 * np.pi)) \
+                * math.sqrt(math.factorial(p) / math.factorial(p + am))
+            np.testing.assert_allclose(factor, exact, rtol=2e-14, atol=0.0,
+                                       err_msg=f"p={p}, |m|={am}")
 
 
 @pytest.fixture(scope="module")

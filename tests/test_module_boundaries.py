@@ -1,12 +1,20 @@
-"""Private names stay in their module.
+"""Private names stay in their module, and numpy is the only runtime
+dependency.
 
 A `_`-prefixed name is a module's own: no other package module may import
 it, except the few pairs allowed below.  So the rule for reading a state's
 factor pairs keeps its single home in `wavefunction` (`FrameMoments`),
 and the other modules go through the public readers.
+
+No module of the package imports scipy; the tests and the bench keep it
+as their oracle only.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import photon_angmom
@@ -53,3 +61,51 @@ def test_allowed_private_imports_are_all_used():
     for path in sorted(PACKAGE.glob("*.py")):
         seen.update((path.stem, source, name) for source, name in _private_imports(path))
     assert seen == {(m, s, n) for (m, s), names in ALLOWED.items() for n in names}
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# with scipy blocked, the README vector LG mode and the paraxial suite run,
+# and nothing loads a scipy module
+_NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+import photon_angmom
+from photon_angmom import cli, verify
+code = cli.main(["mode", "--config", sys.argv[1], "--outputs=[]"])
+rows = verify.paraxial_suite()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+print(json.dumps({"code": code, "failed": [r["check"] for r in rows if not r["pass"]],
+                  "rows": len(rows), "scipy": loaded}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "lg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"n_k": 8, "k_min": 0.94, "k_max": 1.06, "n_theta": 256, "n_phi": 12},
+        "mode": {"kind": "vector_lg", "m": 2, "w": -1, "p": 1, "w0": 25.0, "k_fixed": 1.0},
+        "seed": 0,
+    }))
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(cfg)], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["rows"] > 0 and result["failed"] == []
+    assert result["scipy"] == []
