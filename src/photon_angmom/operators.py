@@ -38,9 +38,10 @@ identity suites.
 J1 and J2 (and through them L = J - S) go the spectral route: Y^(a)_lm are
 exact J^2/J3 eigenfunctions, so in coefficient space J3 multiplies by m
 and J+- shift m with the ladder factors of `vsh.ladder`; exact up to the
-truncation l_max of the expansion.  The report reads them through
-`vsh.analyze`, which contracts bins m - h of rows c_+ and c_- of the same
-phi-FFT.
+truncation l_max of the expansion.  The report reads <J+> = <J1> + i <J2>
+= sum_k w_k sum_{a,l,m} conj(c_{a,l,m+1}) ladder(l, m, +1) c_{a,l,m} in one
+pass over the coefficients of `vsh.analyze`, which contracts bins m - h of
+rows c_+ and c_- of the same phi-FFT.
 """
 
 from __future__ import annotations
@@ -96,27 +97,32 @@ def apply_W(v: WaveFunction) -> WaveFunction:
     return _multiply(v, _H[:, None, None, None])
 
 
-def _ladder_shift(e: VshExpansion, sign: int) -> VshExpansion:
-    """J_+ (sign=+1) or J_- (sign=-1) in coefficient space: window shifts by sign."""
-    fac = ladder(np.arange(e.l_max + 1)[:, None], e.m_values[None, :], sign)
-    return VshExpansion(
-        e.grid, e.l_max, e.m_min + sign, e.m_max + sign,
-        e.coeffs * fac[None, None, :, :],
-    )
-
-
 def apply_J(axis: int, e: VshExpansion) -> VshExpansion:
-    """Total angular momentum component on an expansion; a and l unchanged."""
+    """Total angular momentum component on an expansion; a and l unchanged.
+
+    J1 = (J+ + J-) / 2 and J2 = -i (J+ - J-) / 2, J+- taking m to m +- 1
+    with the factor `vsh.ladder`(l, m, +-1), on the window widened by one
+    order each way within [-l_max, l_max]: the factor is zero wherever
+    m +- 1 leaves |m| <= l, so the clip loses nothing."""
     if axis == 3:
         return VshExpansion(
             e.grid, e.l_max, e.m_min, e.m_max,
             e.coeffs * e.m_values[None, None, None, :],
         )
-    if axis == 1:
-        return 0.5 * (_ladder_shift(e, +1) + _ladder_shift(e, -1))
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1..3")
+    out = VshExpansion.zero(e.grid, e.l_max, max(e.m_min - 1, -e.l_max),
+                            min(e.m_max + 1, e.l_max))
+    for sign, scale in ((1, 0.5), (-1, 0.5 if axis == 1 else -0.5)):
+        # source orders lo..hi - 1 land on lo + sign..hi - 1 + sign
+        lo = max(e.m_min, out.m_min - sign)
+        hi = min(e.m_max, out.m_max - sign) + 1
+        fac = scale * ladder(np.arange(e.l_max + 1)[:, None], np.arange(lo, hi), sign)
+        out.coeffs[..., lo + sign - out.m_min : hi + sign - out.m_min] += (
+            e.coeffs[..., lo - e.m_min : hi - e.m_min] * fac)
     if axis == 2:
-        return -0.5j * (_ladder_shift(e, +1) - _ladder_shift(e, -1))
-    raise ValueError("axis must be 1..3")
+        out.coeffs *= -1j
+    return out
 
 
 def apply_J_squared(e: VshExpansion) -> VshExpansion:
@@ -154,15 +160,15 @@ def apply_L(axis: int, v: WaveFunction, l_max: int = 16,
 
 def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     """<e, f> in coefficient space (radial quadrature of conj(c_e) c_f)."""
-    if e.grid is not f.grid and e.grid.spec != f.grid.spec:
+    if e.grid.spec != f.grid.spec:
         raise ValueError("expansions live on different grids")
     if e.l_max != f.l_max:
         raise ValueError("expansions have different l_max")
-    m_min = min(e.m_min, f.m_min)
-    m_max = max(e.m_max, f.m_max)
-    a = e._window_like(m_min, m_max)
-    b = f._window_like(m_min, m_max)
-    dens = np.sum(np.conj(a.coeffs) * b.coeffs, axis=(0, 2, 3))
+    lo = max(e.m_min, f.m_min)
+    hi = max(min(e.m_max, f.m_max) + 1, lo)
+    a = e.coeffs[..., lo - e.m_min : hi - e.m_min]
+    b = f.coeffs[..., lo - f.m_min : hi - f.m_min]
+    dens = np.sum(np.conj(a) * b, axis=(0, 2, 3))
     return complex(np.sum(e.grid.radial_weights * dens))
 
 
@@ -231,9 +237,9 @@ class ObservableReport:
 def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableReport:
     """Full observable record of a normalized state.
 
-    J1/J2 expectations go through the spectral route with an automatically
-    detected azimuthal window; J3, W, S and P are evaluated exactly, from
-    the moments of v (see the module docstring).
+    J1/J2 expectations are Re and Im of <J+>, one ladder pass over the VSH
+    coefficients of an automatically detected azimuthal window; J3, W, S
+    and P are evaluated exactly, from the moments of v (module docstring).
     """
     n = norm(v)
     if abs(n - 1.0) > 1e-8:
@@ -245,8 +251,11 @@ def observable_report(v: WaveFunction, l_max: int | None = None) -> ObservableRe
     if l_max is None:
         l_max = _report_l_max(v.grid)
     e = analyze(v, l_max, azimuthal_window(v, l_max))
-    j12 = [expansion_inner(e, apply_J(ax, e)).real for ax in (1, 2)]
-    total_am = np.array([j12[0], j12[1], moments.j3])
+    # <J+> = <J1> + i <J2>: order m of each (a, l) row against m + 1
+    fac = ladder(np.arange(l_max + 1)[:, None], e.m_values[:-1], +1)
+    dens = np.sum(np.conj(e.coeffs[..., 1:]) * (fac * e.coeffs[..., :-1]), axis=(0, 2, 3))
+    j_plus = complex(np.sum(v.grid.radial_weights * dens))
+    total_am = np.array([j_plus.real, j_plus.imag, moments.j3])
 
     residuals = {
         "J3": moments.j3_dispersion,

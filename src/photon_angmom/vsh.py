@@ -277,14 +277,15 @@ class VshExpansion:
 
     Storage: coeffs has shape (2, n_k, l_max+1, n_m) indexed by
     (a-1, radial node, l, m - m_min).  The l = 0 row and all |m| > l slots
-    are structurally zero; transverse fields have no l = 0 content.
+    are structurally zero; transverse fields have no l = 0 content.  The
+    window m_min..m_max is never empty and lies within [-l_max, l_max].
     """
 
     def __init__(self, grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int, coeffs):
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if m_min > m_max:
-            raise ValueError("empty azimuthal window")
+        if not -l_max <= m_min <= m_max <= l_max:
+            raise ValueError(f"azimuthal window [{m_min}, {m_max}] empty or past +-{l_max}")
         n_m = m_max - m_min + 1
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (2, grid.spec.n_k, l_max + 1, n_m):
@@ -333,24 +334,14 @@ class VshExpansion:
         dens = np.sum(np.abs(self.coeffs) ** 2, axis=(0, 2, 3))
         return float(np.sum(self.grid.radial_weights * dens))
 
-    def _window_like(self, m_min, m_max):
-        """Same coefficients embedded in a wider window."""
-        if m_min > self.m_min or m_max < self.m_max:
-            raise ValueError("target window does not contain current window")
-        out = VshExpansion.zero(self.grid, self.l_max, m_min, m_max)
-        lo = self.m_min - m_min
-        out.coeffs[:, :, :, lo : lo + self.coeffs.shape[3]] = self.coeffs
-        return out
-
     def __add__(self, other):
-        if other.grid is not self.grid or other.l_max != self.l_max:
+        if other.grid.spec != self.grid.spec or other.l_max != self.l_max:
             raise ValueError("expansions are not compatible")
-        m_min = min(self.m_min, other.m_min)
-        m_max = max(self.m_max, other.m_max)
-        a = self._window_like(m_min, m_max)
-        b = other._window_like(m_min, m_max)
-        a.coeffs += b.coeffs
-        return a
+        out = VshExpansion.zero(self.grid, self.l_max, min(self.m_min, other.m_min),
+                                max(self.m_max, other.m_max))
+        for term in (self, other):
+            out.coeffs[..., term.m_min - out.m_min : term.m_max - out.m_min + 1] += term.coeffs
+        return out
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -431,38 +422,36 @@ def analyze(v: WaveFunction, l_max: int, m_window=None) -> VshExpansion:
 
 
 def synthesize(e: VshExpansion) -> WaveFunction:
-    """Sum the expansion back to grid samples (transverse by construction)."""
+    """Sum the expansion back to grid samples (transverse by construction),
+    every order of its window, which lies within [-l_max, l_max]."""
     grid = e.grid
     n_k, _, n_phi = grid.shape
     # bins[h, k, theta, mu]: the e^{i mu phi} amplitude of c_h
     bins = np.zeros((2,) + grid.shape, dtype=complex)
-    # a shifted window (J+- of an expansion) may reach past |m| = l_max,
-    # where every slot is structurally zero
-    m_min, m_max = max(e.m_min, -e.l_max), min(e.m_max, e.l_max)
+    m_min, m_max = e.m_min, e.m_max
     n_m = m_max - m_min + 1
-    if n_m > 0:
-        a1, a2 = e.coeffs[..., m_min - e.m_min : m_max - e.m_min + 1]
-        # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-, laid out
-        # (m, h, l, k) as the rows of `_grid_rows` read them: column 1 in
-        # decreasing m, with the sign of its H_- rows on the even orders
-        q = np.empty((n_m, 2, e.l_max + 1, n_k), dtype=complex)
-        q_plus, q_minus = q.transpose(1, 3, 2, 0)
-        np.subtract(a1, 1j * a2, out=q_plus)
-        np.subtract(a2, 1j * a1, out=q_minus[..., ::-1])
-        np.negative(q[m_max % 2 :: 2, 1], out=q[m_max % 2 :: 2, 1])
-        rows = _grid_rows(grid, e.l_max, m_min, m_max)
-        c = (rows.swapaxes(-1, -2) @ q.view(float)).view(complex)
-        # c_+ into bin m - 1 and c_- into bin m + 1, both in increasing m:
-        # orders that alias onto one bin of a coarse azimuthal grid add up
-        # in that order, as each run of n_phi orders fills distinct bins
-        for h, (rows_h, shift) in enumerate(((c[:, 0], 1), (c[::-1, 1], -1))):
-            for lo in range(0, n_m, n_phi):
-                run = rows_h[lo : lo + n_phi].transpose(2, 1, 0)
-                first = (m_min + lo - shift) % n_phi
-                # the run's bins are cyclic: first..n_phi - 1, then 0..
-                head = min(run.shape[-1], n_phi - first)
-                bins[h, ..., first : first + head] += run[..., :head]
-                bins[h, ..., : run.shape[-1] - head] += run[..., head:]
+    a1, a2 = e.coeffs
+    # amplitudes (a1 - i a2) of H_+ and (a2 - i a1) of H_-, laid out
+    # (m, h, l, k) as the rows of `_grid_rows` read them: column 1 in
+    # decreasing m, with the sign of its H_- rows on the even orders
+    q = np.empty((n_m, 2, e.l_max + 1, n_k), dtype=complex)
+    q_plus, q_minus = q.transpose(1, 3, 2, 0)
+    np.subtract(a1, 1j * a2, out=q_plus)
+    np.subtract(a2, 1j * a1, out=q_minus[..., ::-1])
+    np.negative(q[m_max % 2 :: 2, 1], out=q[m_max % 2 :: 2, 1])
+    rows = _grid_rows(grid, e.l_max, m_min, m_max)
+    c = (rows.swapaxes(-1, -2) @ q.view(float)).view(complex)
+    # c_+ into bin m - 1 and c_- into bin m + 1, both in increasing m:
+    # orders that alias onto one bin of a coarse azimuthal grid add up
+    # in that order, as each run of n_phi orders fills distinct bins
+    for h, (rows_h, shift) in enumerate(((c[:, 0], 1), (c[::-1, 1], -1))):
+        for lo in range(0, n_m, n_phi):
+            run = rows_h[lo : lo + n_phi].transpose(2, 1, 0)
+            first = (m_min + lo - shift) % n_phi
+            # the run's bins are cyclic: first..n_phi - 1, then 0..
+            head = min(run.shape[-1], n_phi - first)
+            bins[h, ..., first : first + head] += run[..., :head]
+            bins[h, ..., : run.shape[-1] - head] += run[..., head:]
     # the rows carry the polar quadrature of the analysis: bins / w is
     # numpy's complex division by a real w, bins * (1 / w), on the floats
     floats = bins.view(float)

@@ -17,6 +17,11 @@ the batched transforms must equal these bit for bit on any BLAS.  (A
 complex product per order, rows cast to complex, agrees with them only to
 roundoff: BLAS may block the theta sum of a complex GEMM differently from
 a real one, and routes a single radial node through GEMV.)
+
+`composed_J` is J1 or J2 of an expansion as a composition of whole
+expansions: each ladder term on its own shifted window, both embedded in
+one wider window, summed and scaled.  `operators.apply_J` writes both
+terms into one expansion clipped at +-l_max, and must equal it there.
 """
 
 import numpy as np
@@ -96,3 +101,21 @@ def per_order_synthesize(e):
     bins /= _quadrature(grid)
     c = np.fft.ifft(bins, axis=1, norm="forward")
     return WaveFunction.from_frame(grid, np.moveaxis(c, 1, -1))
+
+
+def composed_J(axis, e):
+    """J1 (axis 1) or J2 (axis 2) of the expansion e as (m_min, m_max, coeffs)
+    on the window m_min..m_max = e.m_min - 1..e.m_max + 1, which may reach
+    past +-l_max: J+- = e.coeffs times `vsh.ladder`(l, m, +-1) on the window
+    shifted by +-1, each embedded into zeros on the wider window, summed,
+    J- negated first for J2, then times 0.5 (J1) or -0.5j (J2)."""
+    ls = np.arange(e.l_max + 1)[:, None]
+    ms = np.arange(e.m_min, e.m_max + 1)
+    plus, minus = (
+        np.zeros(e.coeffs.shape[:3] + (ms.size + 2,), dtype=complex) for _ in range(2)
+    )
+    plus[..., 2:] = e.coeffs * vsh.ladder(ls, ms, +1)
+    lowered = e.coeffs * vsh.ladder(ls, ms, -1)
+    minus[..., :-2] = lowered * (-1.0) if axis == 2 else lowered
+    plus += minus
+    return e.m_min - 1, e.m_max + 1, (0.5 if axis == 1 else -0.5j) * plus

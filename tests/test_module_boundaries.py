@@ -8,6 +8,9 @@ and the other modules go through the public readers.
 
 No module of the package imports scipy; the tests and the bench keep it
 as their oracle only.
+
+The observable report reads <J1> and <J2> in one ladder pass over its
+coefficients: it applies no operator and does no expansion arithmetic.
 """
 
 import ast
@@ -17,7 +20,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import photon_angmom
+from photon_angmom import operators
+from photon_angmom.grid import GridSpec, build_grid
+from photon_angmom.modes import ModeSpec, build_mode
+from photon_angmom.vsh import VshExpansion
+from photon_angmom.wavefunction import random_state
 
 PACKAGE = Path(photon_angmom.__file__).parent
 
@@ -109,3 +119,19 @@ def test_package_runs_without_scipy(tmp_path):
     assert result["code"] == 0
     assert result["rows"] > 0 and result["failed"] == []
     assert result["scipy"] == []
+
+
+def test_observable_report_does_no_expansion_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report reads <J+> in one pass over its coefficients")
+
+    for owner, name in ((operators, "apply_J"), (operators, "expansion_inner"),
+                        (VshExpansion, "__add__"), (VshExpansion, "__sub__"),
+                        (VshExpansion, "__mul__"), (VshExpansion, "__rmul__")):
+        monkeypatch.setattr(owner, name, refuse)
+    grid = build_grid(GridSpec(n_k=4, k_min=0.5, k_max=1.5, n_theta=16, n_phi=16))
+    tilted = build_mode(ModeSpec(kind="sam_wavepacket", w=1, kappa=6.0,
+                                 s_direction=(0.3, 0.1, 1.0)), grid)
+    for v in (random_state(grid, seed=1), tilted):
+        total_am = operators.observable_report(v).total_am
+        assert np.all(np.isfinite(total_am)) and abs(total_am[0]) > 1e-3

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cartesian_inner, cartesian_norm, cross_S, cross_W
+from oracles import cartesian_inner, cartesian_norm, composed_J, cross_S, cross_W
 from photon_angmom import operators, wavefunction
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
@@ -152,6 +154,68 @@ def test_J_commutator_exact_in_coefficient_space(grid):
     assert np.abs(d.coeffs).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "window", [None, (3, 7), (9, 12), (-12, -10), (5, 5), (12, 12), (-12, -12)],
+    ids=["full", "off-centre", "top", "bottom", "one-order", "one-order-top", "one-order-bottom"])
+def test_apply_J_is_the_composed_oracle_within_l_max(grid, window):
+    # the oracle puts each ladder term on its own shifted window and embeds
+    # both in one window past +-l_max; apply_J writes them into one
+    # expansion clipped at +-l_max, where the oracle holds only zeros
+    analyzed = analyze(random_state(grid, seed=21), 12, window)
+    rng = np.random.default_rng(22)
+    shape = analyzed.coeffs.shape
+    # every slot filled, |m| > l and l = 0 included
+    filled = VshExpansion(grid, 12, analyzed.m_min, analyzed.m_max,
+                          rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for e in (analyzed, filled):
+        for axis in (1, 2):
+            got = apply_J(axis, e)
+            assert (got.m_min, got.m_max) == (max(e.m_min - 1, -12), min(e.m_max + 1, 12))
+            m_min, _, want = composed_J(axis, e)
+            lo, hi = got.m_min - m_min, got.m_max + 1 - m_min
+            # every value the same float: the oracle's sum adds the zeros it
+            # embeds, so only the sign of a zero may differ
+            np.testing.assert_array_equal(got.coeffs, want[..., lo:hi])
+            assert not np.any(want[..., :lo]) and not np.any(want[..., hi:])
+
+
+@st.composite
+def _band_and_two_windows(draw):
+    l_max = draw(st.integers(1, 8))
+
+    def window():
+        lo = draw(st.integers(-l_max, l_max))
+        return lo, draw(st.integers(lo, l_max))
+
+    return l_max, window(), window()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=_band_and_two_windows(), seed=st.integers(0, 2**32 - 1))
+def test_J_algebra_on_random_windows(case, seed):
+    # coefficients on 1 <= l <= l_max, |m| <= l, of two random windows
+    l_max, *windows = case
+    g = build_grid(GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=4, n_phi=4))
+    rng = np.random.default_rng(seed)
+    e, f = (VshExpansion.zero(g, l_max, *w) for w in windows)
+    for x in (e, f):
+        ls = np.arange(l_max + 1)[:, None]
+        mask = (ls >= 1) & (np.abs(x.m_values) <= ls)
+        x.coeffs[:] = mask * (rng.standard_normal(x.coeffs.shape)
+                              + 1j * rng.standard_normal(x.coeffs.shape))
+    d = apply_J(1, apply_J(2, e)) - apply_J(2, apply_J(1, e)) - 1j * apply_J(3, e)
+    assert np.abs(d.coeffs).max() < 1e-12
+    for ax in (1, 2, 3):
+        lhs = expansion_inner(e, apply_J(ax, f))
+        rhs = expansion_inner(apply_J(ax, e), f)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        for x in (e, f, apply_J(1, e), apply_J(2, f)):
+            jx = apply_J(ax, x)
+            widen = 0 if ax == 3 else 1
+            assert (jx.m_min, jx.m_max) == (max(x.m_min - widen, -l_max),
+                                            min(x.m_max + widen, l_max))
+
+
 def test_J_spectral_matches_azimuthal_J3(grid):
     rng = np.random.default_rng(8)
     e = VshExpansion.zero(grid, l_max=10)
@@ -240,6 +304,40 @@ def test_observable_report_random_state(grid):
         "energy", "momentum", "total_am", "oam", "sam", "helicity",
         "sam_second_moments", "sam_variance", "eigen_residuals",
     }
+
+
+_SWEEP_STATES = {
+    "vector_lg": (GridSpec(n_k=8, k_min=0.94, k_max=1.06, n_theta=256, n_phi=12),
+                  ModeSpec(kind="vector_lg", m=2, w=-1, p=1, w0=25.0, k_fixed=1.0)),
+    "j3_w_eigenstate": (
+        GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=32, n_phi=32),
+        ModeSpec(kind="j3_w_eigenstate", m=-2, w=1, radial_profile={"k0": 1.0, "sigma_k": 0.12},
+                 theta_profile={"kind": "gaussian_in_theta", "theta0": 0.3, "sigma_theta": 0.3})),
+    "sam_wavepacket": (
+        GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=64, n_phi=64),
+        ModeSpec(kind="sam_wavepacket", w=1, kappa=7.0,
+                 s_direction=[np.sin(0.25), 0.0, np.cos(0.25)],
+                 radial_profile={"k0": 1.0, "sigma_k": 0.1})),
+    "random": (GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=32, n_phi=32), None),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_STATES))
+def test_observable_report_J1_J2_are_the_applied_operators(name):
+    # the report's one ladder pass against <e, J_i e> on its own expansion
+    spec, mode = _SWEEP_STATES[name]
+    g = build_grid(spec)
+    v = random_state(g, seed=23) if mode is None else build_mode(mode, g)
+    rep = observable_report(v)
+    l_max = min(spec.n_theta - 1, 96)
+    e = analyze(v, l_max, azimuthal_window(v, l_max))
+    want = [expansion_inner(e, apply_J(ax, e)).real for ax in (1, 2)]
+    np.testing.assert_allclose(rep.total_am[:2], want, rtol=0, atol=1e-15)
+    if e.m_min == e.m_max:
+        # a J3 eigenstate's one-order window holds no ladder pair
+        assert list(rep.total_am[:2]) == [0.0, 0.0]
+    else:
+        assert np.abs(rep.total_am[:2]).max() > 1e-3
 
 
 def test_observable_report_eigenstate_residuals(grid):

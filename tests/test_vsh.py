@@ -266,6 +266,32 @@ def test_expansion_arithmetic(grid):
     np.testing.assert_allclose(d.coefficient(1, 3, 2), 0.0, atol=1e-15)
 
 
+def test_expansion_window_lies_within_l_max(grid):
+    shape = (2, grid.spec.n_k, 4)
+    VshExpansion(grid, 3, -3, 3, np.zeros(shape + (7,)))
+    for m_min, m_max in ((-4, 0), (0, 4), (-4, 4), (2, 1)):
+        with pytest.raises(ValueError, match="azimuthal window"):
+            VshExpansion(grid, 3, m_min, m_max, np.zeros(shape + (max(m_max - m_min + 1, 0),)))
+    with pytest.raises(ValueError, match="azimuthal window"):
+        VshExpansion.zero(grid, 3, 2, 4)
+
+
+def test_expansions_on_grids_of_one_spec_add(grid):
+    # the rule of `expansion_inner` and of adding states: the same grid
+    # object or a grid of equal spec
+    twin = build_grid(grid.spec)
+    rad = np.ones(grid.spec.n_k)
+    a = VshExpansion.single(grid, 6, 1, 3, 2, rad)
+    b = VshExpansion.single(twin, 6, 2, 4, -1, rad)
+    for s in (a + b, b - a):
+        np.testing.assert_array_equal(abs(s.coefficient(1, 3, 2)), 1.0)
+        np.testing.assert_array_equal(s.coefficient(2, 4, -1), 1.0)
+    other = build_grid(GridSpec(n_k=grid.spec.n_k, k_min=0.5, k_max=1.5, n_theta=12, n_phi=13))
+    for bad in (VshExpansion.single(other, 6, 1, 3, 2, rad), VshExpansion.zero(grid, 5)):
+        with pytest.raises(ValueError, match="not compatible"):
+            a + bad
+
+
 def test_to_rows_dump(grid):
     rad = np.linspace(1.0, 2.0, grid.spec.n_k)
     e = VshExpansion.single(grid, 4, 2, 3, -2, rad)
@@ -538,7 +564,7 @@ def test_transforms_equal_the_per_order_oracle(spec, l_max, mode):
     v = random_state(g, seed=59) if mode is None else build_mode(mode, g)
     e = analyze(v, l_max)
     assert e.coeffs.tobytes() == per_order_analyze(v, l_max).tobytes()
-    # J+- shift the window past |m| = l_max, where synthesize skips orders
+    # J1 and J2 widen the window by one order each way, within +-l_max
     for f in (e, apply_J(1, e), apply_J(2, e)):
         assert synthesize(f).c.tobytes() == per_order_synthesize(f).c.tobytes()
     # windowed: the report's band on the state's own window, and one
