@@ -3,9 +3,9 @@
 The grid discretizes momentum space in spherical coordinates: Gauss-Legendre
 nodes in the radial variable k on [k_min, k_max] (the k^2 Jacobian is folded
 into the weights), Gauss-Legendre nodes in x = cos(theta) on (-1, 1), and a
-uniform trapezoid rule in the azimuth phi with weight 2*pi/n_phi.  Polar nodes
-are strictly interior, so theta = 0 and theta = pi never appear and the
-circular polarization basis is single valued on every node.
+uniform trapezoid rule in the azimuth phi with weight `phi_weight` = 2*pi/n_phi.
+Polar nodes are strictly interior, so theta = 0 and theta = pi never appear
+and the circular polarization basis is single valued on every node.
 
 Node order is radial-major: index = (ik * n_theta + itheta) * n_phi + iphi.
 
@@ -16,6 +16,11 @@ rules of all grids read it, so two grids of one spec hold the same nodes
 and weights, bit for bit.  The shared arrays are read-only; a grid's
 `x_nodes` and `x_weights` are the shared polar rule itself, so writing to
 them raises.
+
+Every reader takes its quadrature factors from the grid: the weights as
+read-only factor pairs split by axis (`factor_weights`), and `phi_weight`.
+Grids of one spec are one grid to every combination of states or
+expansions (`require_same`).
 
 Besides its nodes and weights a grid keeps two angular tables, each
 built on first use and kept for its lifetime: the local frame of its
@@ -144,19 +149,21 @@ class WaveVectorGrid:
         Cartesian wave vectors.
     khat : ndarray, shape (n_nodes, 3)
         Unit directions.
-    weights : ndarray, shape (n_nodes,)
+    weights : ndarray, shape (n_nodes,), read-only
         Full measure weights, sum(weights * f) ~ int d^3k f.
+    angular_weights : ndarray, shape (n_theta * n_phi,), read-only
+        Solid-angle weights; they sum to 4*pi.
 
-    These node arrays are formed on first read and then kept; the
-    moments of a factored state need only the per-axis nodes and weights
-    below, so a grid read only through them never forms the node arrays.
+    These arrays are formed on first read and then kept; the moments of
+    a factored state need only the per-axis nodes and weights below, so a
+    grid read only through them never forms the node arrays.
     x_nodes, x_weights : ndarray, shape (n_theta,)
         The polar Gauss-Legendre rule in x = cos(theta), the read-only
         arrays that `gauss_legendre` shares.
     theta_nodes, phi_nodes : ndarray
         The shared angular subgrid, one copy per radial shell.
-    angular_weights : ndarray, shape (n_theta * n_phi,)
-        Solid-angle weights; they sum to 4*pi.
+    phi_weight : float
+        The azimuthal weight 2 pi / n_phi of every node.
     radial_weights : ndarray, shape (n_k,)
         Radial weights including the k^2 Jacobian.
     frame : ndarray, shape (3, n_theta, n_phi, 3)
@@ -167,7 +174,7 @@ class WaveVectorGrid:
         orders -top..top, shape (2 top + 1, l_max+1, n_theta); empty until
         a transform runs.
     _factor_weights : dict
-        Split -> the weights as a factor pair (`wavefunction._factor_weights`).
+        Split -> the weights as a read-only factor pair (`factor_weights`).
     """
 
     def __init__(self, spec: GridSpec):
@@ -183,13 +190,34 @@ class WaveVectorGrid:
         self.x_weights = wt
         self.theta_nodes = np.arccos(xt)
         self.phi_nodes = 2.0 * np.pi * np.arange(spec.n_phi) / spec.n_phi
-        phi_w = 2.0 * np.pi / spec.n_phi
-        self.angular_weights = np.repeat(wt, spec.n_phi) * phi_w
+        self.phi_weight = 2.0 * np.pi / spec.n_phi
 
         self.n_nodes = spec.n_k * spec.n_theta * spec.n_phi
         self.shape = (spec.n_k, spec.n_theta, spec.n_phi)
         self._helicity_rows = {}
         self._factor_weights = {}
+
+    def require_same(self, other: WaveVectorGrid):
+        """Raise unless `other` is this grid or a grid of equal spec."""
+        if other is not self and other.spec != self.spec:
+            raise ValueError(f"grids are not compatible: {other.spec} is not {self.spec}")
+
+    def factor_weights(self, split: int):
+        """The weights as a read-only factor pair: the product of the axis
+        weights (radial, polar, `phi_weight`) before `split`, and of the
+        rest; weights = the split-0 pair's second, angular_weights the
+        split-1 pair's, flat.  Each split's pair is kept."""
+        held = self._factor_weights
+        if split not in held:
+            axes = (self.radial_weights[:, None, None], self.x_weights[:, None],
+                    np.full(self.spec.n_phi, self.phi_weight))
+            pair = [np.ones(()), np.ones(())]
+            for i, w in enumerate(axes):
+                pair[i >= split] = pair[i >= split] * w
+            for w in pair:
+                w.flags.writeable = False
+            held[split] = tuple(pair)
+        return held[split]
 
     def _nodes(self, axis_nodes):
         # one axis' nodes broadcast over the whole grid, flat in node order
@@ -209,13 +237,11 @@ class WaveVectorGrid:
 
     @cached_property
     def weights(self):
-        phi_w = 2.0 * np.pi / self.spec.n_phi
-        W = (
-            self.radial_weights[:, None, None]
-            * self.x_weights[None, :, None]
-            * np.full(self.spec.n_phi, phi_w)[None, None, :]
-        )
-        return W.ravel()
+        return self.factor_weights(0)[1].ravel()
+
+    @cached_property
+    def angular_weights(self):
+        return self.factor_weights(1)[1].ravel()
 
     @cached_property
     def _shell_khat(self):

@@ -138,6 +138,7 @@ def _profile_keys(kind: str, profile: str, value: dict):
 
 
 _POSITIVE = ("sigma_k", "sigma_theta")
+_SIGMA_K = 0.1  # the default radial_profile's width, and vector_lg's when omitted
 PARAXIAL_WARN_THRESHOLD = 20.0
 
 
@@ -157,8 +158,7 @@ class ModeSpec(Spec):
         carrier eps^(+)(s) is singular), kappa, radial_profile,
         carrier in {helicity, projected}.
     vector_lg: m, w, p, w0, k_fixed, radial_profile.sigma_k
-        (0.1 from the default radial_profile; k_fixed / 50 when a
-        radial_profile without sigma_k is given).
+        (0.1 when the radial_profile gives none, as the default one).
 
     `from_dict` (the config path) rejects any field or profile key the
     kind does not read; `to_dict` writes exactly the fields it reads.
@@ -170,7 +170,7 @@ class ModeSpec(Spec):
     p: int = 0
     s_direction: Vec3 = (0.0, 0.0, 1.0)
     kappa: float = 100.0
-    radial_profile: Profile = field(default_factory=lambda: {"k0": 1.0, "sigma_k": 0.1})
+    radial_profile: Profile = field(default_factory=lambda: {"k0": 1.0, "sigma_k": _SIGMA_K})
     theta_profile: Profile = field(default_factory=lambda: {"kind": "uniform_band"})
     w0: float = 25.0
     k_fixed: float = 1.0
@@ -494,7 +494,7 @@ def build_vector_lg(spec: ModeSpec, grid: WaveVectorGrid) -> WaveFunction:
     _check_azimuthal_orders(grid, m - w, m, m + w)
     k, theta, phi = _factor_axes(grid)
     cos, sin = np.cos(theta), np.sin(theta)
-    sigma_k = spec.radial_profile.get("sigma_k", spec.k_fixed / 50.0)
+    sigma_k = spec.radial_profile.get("sigma_k", _SIGMA_K)
     # a without its phase e^{i (m - w) phi}, on the (k, theta) nodes
     a = (scalar_lg(m - w, spec.p, spec.w0, k * sin, 0.0)
          * _radial_gaussian(k, spec.k_fixed, sigma_k)

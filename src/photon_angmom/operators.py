@@ -52,7 +52,7 @@ import numpy as np
 
 from .grid import WaveVectorGrid
 from .vsh import VshExpansion, analyze, ladder, synthesize
-from .wavefunction import WaveFunction, _bins, _H, norm
+from .wavefunction import WaveFunction, _H, norm
 
 __all__ = [
     "ObservableReport",
@@ -140,7 +140,7 @@ def apply_J3_azimuthal(v: WaveFunction) -> WaveFunction:
     Exact for grid-resolved azimuthal content.
     """
     spectrum = np.fft.fft(v.c, axis=-1)
-    spectrum *= (_bins(v.grid) + _H[:, None])[:, None, None, :]
+    spectrum *= v.moments.j3_orders
     return WaveFunction.from_frame(v.grid, np.fft.ifft(spectrum, axis=-1))
 
 
@@ -160,10 +160,7 @@ def apply_L(axis: int, v: WaveFunction, l_max: int = 16,
 
 def expansion_inner(e: VshExpansion, f: VshExpansion) -> complex:
     """<e, f> in coefficient space (radial quadrature of conj(c_e) c_f)."""
-    if e.grid.spec != f.grid.spec:
-        raise ValueError("expansions live on different grids")
-    if e.l_max != f.l_max:
-        raise ValueError("expansions have different l_max")
+    e.require_compatible(f)
     lo = max(e.m_min, f.m_min)
     hi = max(min(e.m_max, f.m_max) + 1, lo)
     a = e.coeffs[..., lo - e.m_min : hi - e.m_min]

@@ -294,7 +294,7 @@ def _pair_rows(v: WaveFunction, time: float) -> np.ndarray:
     half = (n_theta + 1) // 2
     n_h = n_phi // 2 if n_phi % 2 == 0 else n_phi
     # W / (2 pi sqrt(omega)) e^{-i omega t} per ring: the phi rule is uniform
-    ring_weights = grid.radial_weights[:, None] * grid.x_weights * (2.0 * np.pi / n_phi)
+    ring_weights = grid.radial_weights[:, None] * grid.x_weights * grid.phi_weight
     scale = ring_weights / (2.0 * np.pi * np.sqrt(grid.k_nodes))[:, None]
     scale = scale * np.exp(-1j * grid.k_nodes * time)[:, None]
     mirror = scale[:, ::-1][:, :half].copy()
@@ -434,23 +434,16 @@ def real_space_com(snapshot: FieldSnapshot) -> dict:
     Ec = np.conj(E)
 
     p0 = pref * float(np.sum(w * np.einsum("...c,...c->...", Ec, E).real))
-    P = np.array(
-        [
-            pref * float(np.sum(w * np.einsum("...c,...c->...", Ec, dA[..., j, :]).real))
-            for j in range(3)
-        ]
-    )
+    # the densities E* . d_b A, complex: P_b and L_j both read them
+    dens = [np.einsum("...m,...m->...", Ec, dA[..., b, :]) for b in range(3)]
+    P = np.array([pref * float(np.sum(w * d.real)) for d in dens])
     cross = np.cross(Ec, A).real
     S = pref * np.array([float(np.sum(w * cross[..., j])) for j in range(3)])
     lat = snapshot.lattice
     X = [lat.axis(0)[:, None, None], lat.axis(1)[None, :, None], lat.axis(2)[None, None, :]]
     # (x ^ grad)_j A_m with grad inserted analytically: eps_jab x_a dA[b, m]
-    eps = [(1, 2), (2, 0), (0, 1)]
-    L = np.empty(3)
-    for j, (a, b) in enumerate(eps):
-        integ = np.einsum("...m,...m->...", Ec, dA[..., b, :]) * X[a] \
-            - np.einsum("...m,...m->...", Ec, dA[..., a, :]) * X[b]
-        L[j] = pref * float(np.sum(w * integ.real))
+    L = np.array([pref * float(np.sum(w * (dens[b] * X[a] - dens[a] * X[b]).real))
+                  for a, b in ((1, 2), (2, 0), (0, 1))])
     return {"P0": p0, "P": P, "L": L, "S": S, "J": L + S}
 
 
@@ -555,7 +548,7 @@ def export_slice(snapshot: FieldSnapshot, path: str, field: str = "E",
     """CSV of one z = const plane: x, y, z, then (re, im) per component."""
     if field not in ("A", "E", "B"):
         raise ValueError("field must be one of A, E, B")
-    data = {"A": snapshot.A, "E": snapshot.E, "B": snapshot.B}[field]
+    data = getattr(snapshot, field)
     lat = snapshot.lattice
     if iz is None:
         iz = lat.n_z // 2

@@ -153,11 +153,6 @@ def _helicity_rows(table, weights, mix, ms):
     return np.einsum("hc...,mcl,mcl...->mhl...", mix, weights, rows)
 
 
-def _polar_quadrature(grid: WaveVectorGrid):
-    """Weight (2 pi / n_phi) w_theta of one node of each polar ring."""
-    return (2.0 * np.pi / grid.spec.n_phi) * grid.x_weights
-
-
 # A table is built this many bytes of `_helicity_rows` input rows (three
 # per order) at a time: its temporaries take a few times that, which a
 # block keeps small next to the table, and small grids take one call.
@@ -166,7 +161,7 @@ _ROW_BUILD_BYTES = 1 << 22
 
 def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     """Analysis rows of the orders m_min..m_max, degrees 0..l_max, with
-    `_polar_quadrature` folded in: a read-only view R of shape
+    the quadrature `phi_weight` x_weights folded in: a read-only view R of shape
     (n_m, 2, l_max+1, n_theta) into one of the grid's tables of H_+ rows.
 
     R[i, 0] is H_+ of order m_min + i.  R[i, 1] is H_+ of order
@@ -186,7 +181,8 @@ def _grid_rows(grid: WaveVectorGrid, l_max: int, m_min: int, m_max: int):
     if table is None:
         ms = np.arange(-need, need + 1)
         legendre = legendre_normalized(l_max + 1, grid.x_nodes, need + 1)
-        mix = _polar_quadrature(grid) * _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
+        mix = _x_mix(grid.x_nodes, np.sin(grid.theta_nodes))[:1]
+        mix = (grid.phi_weight * grid.x_weights) * mix
         weights = _ladder_weights(l_max, ms)
         table = np.empty((ms.size, l_max + 1, grid.spec.n_theta))
         step = max(1, _ROW_BUILD_BYTES // (3 * table[0].nbytes))
@@ -334,9 +330,15 @@ class VshExpansion:
         dens = np.sum(np.abs(self.coeffs) ** 2, axis=(0, 2, 3))
         return float(np.sum(self.grid.radial_weights * dens))
 
+    def require_compatible(self, other):
+        """Raise unless `other` has the same grid (`grid.require_same`) and l_max."""
+        self.grid.require_same(other.grid)
+        if other.l_max != self.l_max:
+            raise ValueError(
+                f"expansions are not compatible: l_max {other.l_max} is not {self.l_max}")
+
     def __add__(self, other):
-        if other.grid.spec != self.grid.spec or other.l_max != self.l_max:
-            raise ValueError("expansions are not compatible")
+        self.require_compatible(other)
         out = VshExpansion.zero(self.grid, self.l_max, min(self.m_min, other.m_min),
                                 max(self.m_max, other.m_max))
         for term in (self, other):
@@ -455,6 +457,6 @@ def synthesize(e: VshExpansion) -> WaveFunction:
     # the rows carry the polar quadrature of the analysis: bins / w is
     # numpy's complex division by a real w, bins * (1 / w), on the floats
     floats = bins.view(float)
-    floats *= 1.0 / _polar_quadrature(grid)[:, None]
+    floats *= 1.0 / (grid.phi_weight * grid.x_weights)[:, None]
     # the inverse FFT evaluates the amplitudes at the azimuthal nodes; c_0 = 0
     return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))

@@ -26,15 +26,15 @@ smaller factor first, as the builders normalize them).  A scalar
 multiple scales one factor, and the transverse part zeroes the factors
 of c_0, so both stay factored.
 
-The quadrature weights factor by axis as well, so a weighted sum of
-|c_a|^2 = |F_a|^2 |G_a|^2 is a product of two factor sums
-(`_factor_weights`, `_totals`).  `FrameMoments` is the one kernel that
+The quadrature weights factor by axis as well (`grid.factor_weights`),
+so a weighted sum of |c_a|^2 = |F_a|^2 |G_a|^2 is a product of two factor
+sums (`_totals`).  `FrameMoments` is the one kernel that
 reads a state's factor pairs: from one power per factor and per-axis
 tables it gives the row totals (so the norm), the peak node amplitude,
 the transversality residual and every mean and dispersion of the
 observable report, and from one phi-FFT of the factor that owns phi the
-J3 and L3 moments, the azimuthal support and the bins `vsh.analyze`
-reads.  A state never changes, so it keeps one set of moments
+J3 and L3 moments, the J3 order of each bin, the azimuthal support and
+the bins `vsh.analyze` reads.  A state never changes, so it keeps one set of moments
 (`WaveFunction.moments`), formed on first read: `norm`,
 `transverse_residual`, `WaveFunction.peak_amplitude`, the constructor's
 transversality check, the report and the VSH analysis all read it, with
@@ -102,27 +102,11 @@ def _product_rows(F, G):
     return c
 
 
-def _factor_weights(grid: WaveVectorGrid, split: int):
-    """The quadrature weights as a factor pair: the product of the axis
-    weights (radial, polar, 2 pi / n_phi) before `split`, and of the rest.
-    The grid keeps each split's pair."""
-    held = grid._factor_weights
-    if split not in held:
-        n_phi = grid.spec.n_phi
-        axes = (grid.radial_weights[:, None, None], grid.x_weights[:, None],
-                np.full(n_phi, 2.0 * np.pi / n_phi))
-        pair = [1.0, 1.0]
-        for i, w in enumerate(axes):
-            pair[i >= split] = pair[i >= split] * w
-        held[split] = tuple(pair)
-    return held[split]
-
-
 def _totals(grid: WaveVectorGrid, split: int, powers) -> np.ndarray:
     """<c_a, c_a> = (sum w_F |F_a|^2)(sum w_G |G_a|^2) per row, from the
     factor powers; they sum to ||v||^2.  The unit factor's sum is an exact
     1, so it is skipped."""
-    (wf, wg), (pf, pg) = _factor_weights(grid, split), powers
+    (wf, wg), (pf, pg) = grid.factor_weights(split), powers
     totals = np.sum(wf * pf, axis=(1, 2, 3))
     if pg is not _UNIT_POWER:
         totals *= np.sum(wg * pg, axis=(1, 2, 3))
@@ -239,7 +223,7 @@ class FrameMoments:
         grid = self.grid
         radial = grid.radial_weights * np.stack([np.ones_like(grid.k_nodes), grid.k_nodes])
         phi = grid.phi_nodes
-        azimuthal = _products(2.0 * np.pi / grid.spec.n_phi,
+        azimuthal = _products(grid.phi_weight,
                               np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)]))
         return _axis_sums(self.split, self._powers, (radial, None, azimuthal))
 
@@ -342,23 +326,24 @@ class FrameMoments:
         # and the weights are constant on each (k, theta) ring
         grid = self.grid
         radial = _axis_sums(self.split, self._spectral_powers,
-                            (grid.radial_weights[None], None, None))[:, 0]
-        n_phi = grid.spec.n_phi
-        return radial * (grid.x_weights * (2.0 * np.pi / n_phi**2))[:, None]
+                            (grid.radial_weights[None], None, None))
+        return radial * (grid.x_weights * (2.0 * np.pi / grid.spec.n_phi**2))[:, None]
 
     @cached_property
-    def _j3_orders(self):
-        return (_bins(self.grid) + _H[:, None])[:, None, :]
+    def j3_orders(self):
+        """The J3 order mu + h_a of bin mu of row a of the phi-FFT, shape
+        (3, 1, 1, n_phi): it broadcasts over a spectrum of the rows."""
+        return _read_only((_bins(self.grid) + _H[:, None])[:, None, None, :])
 
     @cached_property
     def j3(self) -> float:
         """<J3>: the ring power weighted by the orders mu + h_a."""
-        return float(np.sum(self._j3_orders * self._ring_power))
+        return float(np.sum(self.j3_orders * self._ring_power))
 
     @cached_property
     def j3_dispersion(self) -> float:
         """||J3 v - <J3> v||."""
-        return float(np.sqrt(np.sum((self._j3_orders - self.j3) ** 2 * self._ring_power)))
+        return float(np.sqrt(np.sum((self.j3_orders - self.j3) ** 2 * self._ring_power)))
 
     @cached_property
     def l3(self):
@@ -369,8 +354,8 @@ class FrameMoments:
     def l3_dispersion(self) -> float:
         """||L3 v - <L3> v||: L3 multiplies bin mu of row a by
         mu + h_a - h_a cos(theta)."""
-        cos = np.cos(self.grid.theta_nodes)[:, None]
-        orders = self._j3_orders - _H[:, None, None] * cos
+        cos = self._base_theta[2][:, None]
+        orders = self.j3_orders - _H[:, None, None, None] * cos
         return float(np.sqrt(np.sum((orders - self.l3) ** 2 * self._ring_power)))
 
 
@@ -487,11 +472,11 @@ class WaveFunction:
         return self.moments.peak_amplitude
 
     def __add__(self, other):
-        self._same_grid(other)
+        self.grid.require_same(other.grid)
         return WaveFunction.from_frame(self.grid, self.c + other.c)
 
     def __sub__(self, other):
-        self._same_grid(other)
+        self.grid.require_same(other.grid)
         return WaveFunction.from_frame(self.grid, self.c - other.c)
 
     def __mul__(self, scalar):
@@ -506,10 +491,6 @@ class WaveFunction:
 
     __rmul__ = __mul__
 
-    def _same_grid(self, other):
-        if other.grid is not self.grid and other.grid.spec != self.grid.spec:
-            raise ValueError("wavefunctions live on different grids")
-
     def project_transverse(self):
         """The transverse part: the same rows c_+ and c_-, with c_0 = 0."""
         F, G = (np.concatenate([x[:2], np.zeros_like(x[2:])]) for x in self.factors)
@@ -519,7 +500,7 @@ class WaveFunction:
 
 def inner_product(u: WaveFunction, v: WaveFunction) -> complex:
     """Hermitian inner product int d^3k conj(u) . v, summed over the frame rows."""
-    u._same_grid(v)
+    u.grid.require_same(v.grid)
     dots = np.einsum("an,an->n", np.conj(u.c).reshape(3, -1), v.c.reshape(3, -1))
     return complex(np.sum(u.grid.weights * dots))
 

@@ -22,11 +22,16 @@ a real one, and routes a single radial node through GEMV.)
 expansions: each ladder term on its own shifted window, both embedded in
 one wider window, summed and scaled.  `operators.apply_J` writes both
 terms into one expansion clipped at +-l_max, and must equal it there.
+
+`per_term_real_space_com` is the lattice quadrature of the constants of
+motion with each density E* . d_b A formed anew for every term that reads
+it, nine times in all.  `synthesis.real_space_com` forms each once, and
+must equal it bit for bit.
 """
 
 import numpy as np
 
-from photon_angmom import vsh
+from photon_angmom import synthesis, vsh
 from photon_angmom.grid import legendre_normalized
 from photon_angmom.wavefunction import WaveFunction
 
@@ -119,3 +124,30 @@ def composed_J(axis, e):
     minus[..., :-2] = lowered * (-1.0) if axis == 2 else lowered
     plus += minus
     return e.m_min - 1, e.m_max + 1, (0.5 if axis == 1 else -0.5j) * plus
+
+
+def per_term_real_space_com(snapshot):
+    """`synthesis.real_space_com` with one einsum per density and term."""
+    w = synthesis._site_weights(snapshot.lattice)
+    A, E, dA = snapshot.A, snapshot.E, snapshot.dA
+    pref = 1.0 / (2.0 * np.pi)
+    Ec = np.conj(E)
+
+    p0 = pref * float(np.sum(w * np.einsum("...c,...c->...", Ec, E).real))
+    P = np.array(
+        [
+            pref * float(np.sum(w * np.einsum("...c,...c->...", Ec, dA[..., j, :]).real))
+            for j in range(3)
+        ]
+    )
+    cross = np.cross(Ec, A).real
+    S = pref * np.array([float(np.sum(w * cross[..., j])) for j in range(3)])
+    lat = snapshot.lattice
+    X = [lat.axis(0)[:, None, None], lat.axis(1)[None, :, None], lat.axis(2)[None, None, :]]
+    eps = [(1, 2), (2, 0), (0, 1)]
+    L = np.empty(3)
+    for j, (a, b) in enumerate(eps):
+        integ = np.einsum("...m,...m->...", Ec, dA[..., b, :]) * X[a] \
+            - np.einsum("...m,...m->...", Ec, dA[..., a, :]) * X[b]
+        L[j] = pref * float(np.sum(w * integ.real))
+    return {"P0": p0, "P": P, "L": L, "S": S, "J": L + S}

@@ -187,7 +187,7 @@ def test_unfactored_totals_equal_the_two_factor_formula(monkeypatch):
     monkeypatch.setattr(wavefunction, "_power", _counted(calls, "_power", power))
     got = v.moments.totals
     assert calls == {"_power": 1}
-    wf, wg = wavefunction._factor_weights(grid, 3)
+    wf, wg = grid.factor_weights(3)
     pf, pg = (power(x) for x in v.factors)
     want = np.sum(wf * pf, axis=(1, 2, 3)) * np.sum(wg * pg, axis=(1, 2, 3))
     assert got.tobytes() == want.tobytes()

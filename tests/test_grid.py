@@ -9,6 +9,9 @@ from photon_angmom.grid import (
     gauss_legendre,
     integrate,
 )
+from photon_angmom.operators import expansion_inner
+from photon_angmom.vsh import VshExpansion
+from photon_angmom.wavefunction import inner_product, random_state
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +184,71 @@ def test_node_fields_reshape(grid):
     assert cube.shape == grid.shape
     spec = grid.spec
     assert cube[2, 1, 3] == flat[(2 * spec.n_theta + 1) * spec.n_phi + 3]
+
+
+def _axis_weight_products(grid):
+    """The weights of each split, written out as products of the axis
+    weights (radial, polar, azimuthal), in the order they are formed."""
+    n_phi = grid.spec.n_phi
+    r = grid.radial_weights[:, None, None]
+    x = grid.x_weights[:, None]
+    phi = np.full(n_phi, 2.0 * np.pi / n_phi)
+    return {0: (1.0, (r * x) * phi), 1: (r, x * phi), 2: (r * x, phi),
+            3: ((r * x) * phi, 1.0)}
+
+
+def test_grid_weights_are_the_axis_products_bit_for_bit():
+    grid = build_grid(GridSpec(n_k=5, k_min=0.3, k_max=1.7, n_theta=7, n_phi=9))
+    assert "angular_weights" not in vars(grid) and "weights" not in vars(grid)
+    n_phi = grid.spec.n_phi
+    full = (grid.radial_weights[:, None, None] * grid.x_weights[None, :, None]
+            * np.full(n_phi, 2.0 * np.pi / n_phi)[None, None, :]).ravel()
+    solid = np.repeat(grid.x_weights, n_phi) * (2.0 * np.pi / n_phi)
+    for got, want in ((grid.weights, full), (grid.angular_weights, solid)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    for split, pair in _axis_weight_products(grid).items():
+        for got, want in zip(grid.factor_weights(split), pair):
+            assert not got.flags.writeable
+            want = np.asarray(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), split
+        assert grid.factor_weights(split) is grid.factor_weights(split)
+    assert grid.phi_weight == 2.0 * np.pi / n_phi
+
+
+def _combine(op, grid, other):
+    """op on a pair of states or expansions, the first on `grid`, the
+    second on `other`."""
+    u, w = random_state(grid, seed=1), random_state(other, seed=2)
+    rad = np.ones(grid.spec.n_k)
+    e = VshExpansion.single(grid, 4, 1, 2, 1, rad)
+    f = VshExpansion.single(other, 4, 2, 3, -1, rad)
+    return {
+        "u + w": lambda: u + w,
+        "u - w": lambda: u - w,
+        "inner_product": lambda: inner_product(u, w),
+        "expansion_inner": lambda: expansion_inner(e, f),
+        "e + f": lambda: e + f,
+    }[op]()
+
+
+@pytest.mark.parametrize("op", ["u + w", "u - w", "inner_product", "expansion_inner", "e + f"])
+def test_one_identity_rule_for_states_and_expansions(op):
+    # the same grid, or a twin of equal spec, is accepted; a grid of
+    # another spec is refused with the one message of `require_same`
+    spec = GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=6, n_phi=10)
+    grid = build_grid(spec)
+    _combine(op, grid, grid)
+    _combine(op, grid, build_grid(spec))
+    other = build_grid(GridSpec(n_k=3, k_min=0.5, k_max=1.6, n_theta=6, n_phi=10))
+    with pytest.raises(ValueError) as err:
+        _combine(op, grid, other)
+    assert str(err.value) == f"grids are not compatible: {other.spec} is not {spec}"
+
+
+@pytest.mark.parametrize("op", [lambda e, f: e + f, expansion_inner])
+def test_one_l_max_rule_for_expansions(op):
+    grid = build_grid(GridSpec(n_k=3, k_min=0.5, k_max=1.5, n_theta=6, n_phi=10))
+    with pytest.raises(ValueError) as err:
+        op(VshExpansion.zero(grid, 4), VshExpansion.zero(grid, 3))
+    assert str(err.value) == "expansions are not compatible: l_max 3 is not 4"

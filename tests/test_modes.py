@@ -118,6 +118,15 @@ def test_mode_spec_dict_holds_only_read_fields(lg_grid):
     assert ModeSpec(kind="vector_lg").to_dict()["radial_profile"] == {"sigma_k": 0.1}
 
 
+def test_vector_lg_has_one_sigma_k_default(lg_grid):
+    # a radial_profile without sigma_k reads the default profile's 0.1
+    default = build_mode(ModeSpec(kind="vector_lg", m=2, w=-1, p=1), lg_grid)
+    for profile in ({}, {"sigma_k": 0.1}):
+        spec = ModeSpec.from_dict({"kind": "vector_lg", "m": 2, "w": -1, "p": 1,
+                                   "radial_profile": profile})
+        assert build_mode(spec, lg_grid).c.tobytes() == default.c.tobytes()
+
+
 def _lg_amplitude_nodewise(grid, m, w, p, w0, k_fixed, sigma_k):
     """a = scalar_lg(m - w, p, w0, k sin(theta), 0) carrier forward / sqrt 2,
     the vector LG amplitude without its phase e^{i (m - w) phi}, evaluated

@@ -34,7 +34,7 @@ PACKAGE = Path(photon_angmom.__file__).parent
 # (importing module, source module) -> the private names it may import
 ALLOWED = {
     ("modes", "wavefunction"): {"_power", "_totals"},
-    ("operators", "wavefunction"): {"_H", "_bins"},
+    ("operators", "wavefunction"): {"_H"},
 }
 
 

@@ -13,6 +13,7 @@ from photon_angmom import parallel, synthesis
 from photon_angmom.grid import GridSpec, build_grid
 from photon_angmom.modes import ModeSpec, build_mode
 from photon_angmom.synthesis import (
+    FieldSnapshot,
     SpaceTimeLattice,
     com_convergence_shift,
     cube_lattice,
@@ -24,6 +25,8 @@ from photon_angmom.synthesis import (
     synthesize_fields,
 )
 from photon_angmom.wavefunction import WaveFunction, random_state
+
+from oracles import per_term_real_space_com
 
 
 def tiny_setup():
@@ -393,6 +396,33 @@ def test_export_slice_matches_per_value_formatting(tmp_path):
     export_slice(snap, path)
     with open(path) as fh:
         assert fh.read() == _slice_per_value(snap, "E", lattice.n_z // 2)
+
+
+def test_real_space_com_equals_per_term_oracle():
+    # each density E* . d_b A is formed once and read by P_b and L_j; the
+    # snapshot's arrays are strided views, so the order in which .real is
+    # taken shows in the sums
+    _, v, lattice = tiny_setup()
+    snap = synthesize_fields(v, SpaceTimeLattice(
+        origin=lattice.origin, extents=lattice.extents, n_x=5, n_y=4, n_z=3))
+    assert not snap.E.flags.c_contiguous and not snap.dA.flags.c_contiguous
+    got, want = real_space_com(snap), per_term_real_space_com(snap)
+    assert set(got) == set(want)
+    for key in want:
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+
+def test_export_slice_reads_only_the_field_asked_for(tmp_path, monkeypatch):
+    _, v, lattice = tiny_setup()
+    snap = synthesize_fields(v, lattice)
+
+    def no_curl(self):
+        raise AssertionError("B formed for a slice of another field")
+
+    monkeypatch.setattr(FieldSnapshot, "B", property(no_curl))
+    for field in ("E", "A"):
+        export_slice(snap, str(tmp_path / f"{field}.csv"), field=field)
+    export_slice(snap, str(tmp_path / "default.csv"))
 
 
 def test_export_slice(tmp_path):
