@@ -208,6 +208,10 @@ class WaveVectorGrid:
         rest; weights = the split-0 pair's second, angular_weights the
         split-1 pair's, flat.  Each split's pair is kept."""
         held = self._factor_weights
+        if split == 3 and split not in held:
+            # all three axes before the split: split 0's product, the same
+            # bits, held once
+            held[split] = self.factor_weights(0)[::-1]
         if split not in held:
             axes = (self.radial_weights[:, None, None], self.x_weights[:, None],
                     np.full(self.spec.n_phi, self.phi_weight))

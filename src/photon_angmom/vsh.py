@@ -428,8 +428,10 @@ def synthesize(e: VshExpansion) -> WaveFunction:
     every order of its window, which lies within [-l_max, l_max]."""
     grid = e.grid
     n_k, _, n_phi = grid.shape
-    # bins[h, k, theta, mu]: the e^{i mu phi} amplitude of c_h
-    bins = np.zeros((2,) + grid.shape, dtype=complex)
+    # bins[h, k, theta, mu]: the e^{i mu phi} amplitude of c_h; the third
+    # row stays zero and becomes the state's c_0
+    frame = np.zeros((3,) + grid.shape, dtype=complex)
+    bins = frame[:2]
     m_min, m_max = e.m_min, e.m_max
     n_m = m_max - m_min + 1
     a1, a2 = e.coeffs
@@ -458,5 +460,7 @@ def synthesize(e: VshExpansion) -> WaveFunction:
     # numpy's complex division by a real w, bins * (1 / w), on the floats
     floats = bins.view(float)
     floats *= 1.0 / (grid.phi_weight * grid.x_weights)[:, None]
-    # the inverse FFT evaluates the amplitudes at the azimuthal nodes; c_0 = 0
-    return WaveFunction.from_frame(grid, np.fft.ifft(bins, axis=-1, norm="forward"))
+    # the inverse FFT evaluates the amplitudes at the azimuthal nodes, into
+    # the rows c_+ and c_- of the state
+    bins[...] = np.fft.ifft(bins, axis=-1, norm="forward")
+    return WaveFunction.from_frame(grid, frame)

@@ -216,6 +216,18 @@ def test_grid_weights_are_the_axis_products_bit_for_bit():
     assert grid.phi_weight == 2.0 * np.pi / n_phi
 
 
+@pytest.mark.parametrize("first", [0, 3])
+def test_all_axes_split_serves_the_split_0_product(first):
+    # split 3 puts every axis before the split, so its first factor is
+    # split 0's product: one array, whichever split is read first
+    grid = build_grid(GridSpec(n_k=12, k_min=0.5, k_max=1.5, n_theta=64, n_phi=64))
+    grid.factor_weights(first)
+    whole, unit = grid.factor_weights(3)
+    assert np.shares_memory(whole, grid.factor_weights(0)[1])
+    assert np.shares_memory(whole, grid.weights)
+    assert unit.shape == () and unit == 1.0 and not unit.flags.writeable
+
+
 def _combine(op, grid, other):
     """op on a pair of states or expansions, the first on `grid`, the
     second on `other`."""

@@ -583,3 +583,20 @@ def test_transforms_equal_the_per_order_oracle_on_aliasing_orders(coarse_grid):
     assert v.c.tobytes() == per_order_synthesize(e).c.tobytes()
     got = analyze(v, 4, (1, 2)).coeffs
     assert got.tobytes() == per_order_analyze(v, 4, (1, 2)).tobytes()
+
+
+def test_synthesize_writes_c0_with_its_rows_and_no_concatenate(grid, monkeypatch):
+    # the state's three rows come from one buffer: the inverse FFT fills
+    # c_+ and c_-, and c_0 stays the buffer's +0.0, the bits of the
+    # oracle's zero row, with no second copy made by np.concatenate
+    e = analyze(random_state(grid, seed=5), 8)
+    want = per_order_synthesize(e).c
+    synthesize(e)
+
+    def concatenate(*args, **kwargs):
+        raise AssertionError("synthesize called np.concatenate")
+
+    monkeypatch.setattr(np, "concatenate", concatenate)
+    v = synthesize(e)
+    assert v.c.tobytes() == want.tobytes()
+    assert not np.signbit(v.c[2].view(float)).any()
